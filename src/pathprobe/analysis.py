@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
-from . import interferometer, qstate
+from . import interferometer
 from .interferometer import ExperimentConfig, SweepResult, UndefinedConditionalError
 from .optics import DephasingSpec
 
@@ -321,22 +321,18 @@ def stokes_rl(config: ExperimentConfig, path: int, port: str) -> SRLRecord:
     """
     if path not in (1, 2):
         raise ValueError(f"path must be 1 or 2, got {path!r}")
-    blocked = "path2" if path == 1 else "path1"
-    rho = interferometer.final_state(config, 0.0, blocked)
-    path_index = {interferometer.PORT_MINUS: 0, interferometer.PORT_PLUS: 1}
-    if port not in path_index:
+    if port not in interferometer.PORTS:
         raise ValueError(f"port must be '+' or '-', got {port!r}")
-    keep = np.zeros((2, 2), dtype=complex)
-    keep[path_index[port], path_index[port]] = 1.0
-    total = float(np.trace(qstate.tensor_product(keep, np.eye(2)) @ rho).real)
+    blocked = "path2" if path == 1 else "path1"
+    weights, amps = interferometer._branch_amplitudes(config, (0.0,), blocked)
+    base = interferometer._PORT_BASE[port]
+    h, v = amps[:, 0, base], amps[:, 0, base + 1]
+    total = float(weights @ (np.abs(h) ** 2 + np.abs(v) ** 2))
     if total <= 0.0:
         raise UndefinedConditionalError(f"port {port} has zero probability")
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    r_ket = np.array([inv_sqrt2, -1j * inv_sqrt2])
-    l_ket = np.array([inv_sqrt2, 1j * inv_sqrt2])
-    p_r = qstate.outcome_probability(rho, qstate.tensor_product(keep, np.outer(r_ket, r_ket.conj())))
-    p_l = qstate.outcome_probability(rho, qstate.tensor_product(keep, np.outer(l_ket, l_ket.conj())))
-    return SRLRecord(path=path, port=port, s_rl=(p_r - p_l) / total, sigma=0.0)
+    # |<R|psi>|^2 - |<L|psi>|^2 = 2 Im(h v*) for the amplitudes (h, v).
+    p_r_minus_l = float(weights @ (2.0 * (h * v.conj()).imag))
+    return SRLRecord(path=path, port=port, s_rl=p_r_minus_l / total, sigma=0.0)
 
 
 def phase_offset_from_srl(delta_s_rl: float, theta0: float) -> float:

@@ -215,10 +215,12 @@ def cmd_blocked(args) -> int:
     if args.print_config:
         return _print_config(doc)
     records = []
+    phases = config.phase_grid.phases_deg()
     for open_path in (1, 2):
         blocked = "path2" if open_path == 1 else "path1"
-        for phase in config.phase_grid.phases_deg():
-            probs = interferometer.run_once(config, phase, blocked)
+        table = interferometer.joint_probabilities(config, phases, blocked).tolist()
+        for phase, row in zip(phases, table):
+            probs = interferometer.OutcomeProbabilities.from_row(row)
             records.append(
                 datasets.BlockedRecord(
                     phase_deg=phase,

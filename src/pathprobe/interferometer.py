@@ -23,22 +23,32 @@ reference level (the mean of the four blocked-run flip probabilities) is the
 squared path weight reported as ``a2_plus`` / ``a2_minus``.  Values above 1
 mean the flip probability exceeds what a fully localized photon would show.
 
+The model is one amplitude engine, vectorised over phases.  The photon is a
+pure state of four amplitudes, ordered (path 1, H), (path 1, V),
+(path 2, H), (path 2, V); the dephasing channel is the mixture of two pure
+branches (the state as is, and the state with its path-2 amplitudes
+negated), so every outcome probability is a weighted sum of squared
+amplitudes.  ``joint_probabilities`` evaluates a whole phase array in one
+call; ``run_once``, ``sweep``, ``gt_scan`` and ``reference_flip_probability``
+read from it and build their records only at the API edge.
+
 Interfaces use degrees for the interferometer phase and analyzer settings;
 ``optics`` specs keep their radian fields.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optics, qstate
+from . import qstate
 from .optics import (
     BeamSplitterSpec,
     DephasingSpec,
-    PolarizerSpec,
     RetarderSpec,
     RotationSpec,
 )
@@ -49,10 +59,13 @@ PORTS = (PORT_PLUS, PORT_MINUS)
 
 BLOCK_LABELS = ("none", "path1", "path2")
 
-# Output path index per port in the fixed basis ordering (path 1, path 2).
-_PORT_PATH = {PORT_MINUS: 1, PORT_PLUS: 2}
+# Amplitude index of (output path, H) per port; (output path, V) follows it.
+_PORT_BASE = {PORT_MINUS: 0, PORT_PLUS: 2}
 
 _A2_PORT_FLOOR = 1e-9
+
+# Largest mean numpy's Poisson sampler accepts.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
 
 
 class UndefinedConditionalError(ValueError):
@@ -108,14 +121,20 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{key} out of range: {value!r}")
-        if not (isinstance(self.photon_rate, (int, float)) and self.photon_rate > 0):
-            raise ValueError(f"photon_rate out of range: {self.photon_rate!r} (must be > 0)")
-        for key in ("dark_rate_plus", "dark_rate_minus"):
+        for key in ("photon_rate", "dark_rate_plus", "dark_rate_minus", "duration"):
             value = getattr(self, key)
-            if not (isinstance(value, (int, float)) and value >= 0):
-                raise ValueError(f"{key} out of range: {value!r} (must be >= 0)")
-        if not (isinstance(self.duration, (int, float)) and self.duration > 0):
-            raise ValueError(f"duration out of range: {self.duration!r} (must be > 0)")
+            dark = key.startswith("dark")
+            finite = isinstance(value, (int, float)) and math.isfinite(value)
+            if not (finite and (value >= 0 if dark else value > 0)):
+                bound = ">= 0" if dark else "> 0"
+                raise ValueError(f"{key} out of range: {value!r} (must be finite and {bound})")
+        dark_key = max(("dark_rate_plus", "dark_rate_minus"), key=lambda k: getattr(self, k))
+        lam = (self.photon_rate + getattr(self, dark_key)) * self.duration
+        if not lam <= _POISSON_LAM_MAX:
+            raise ValueError(
+                f"Poisson mean (photon_rate + {dark_key}) * duration = {lam:.6g} "
+                f"exceeds numpy's limit {_POISSON_LAM_MAX:.6g}"
+            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed out of range: {self.seed!r} (must be an int)")
 
@@ -141,6 +160,11 @@ class OutcomeProbabilities:
     p_minus_h: float
     p_minus_v: float
     survival: float
+
+    @classmethod
+    def from_row(cls, row) -> OutcomeProbabilities:
+        """From one ``joint_probabilities`` row of Python floats."""
+        return cls(*row, survival=sum(row))
 
     def port_probability(self, port: str) -> float:
         _check_port(port)
@@ -199,37 +223,101 @@ def _check_blocked(blocked: str) -> None:
         raise ValueError(f"blocked must be one of {BLOCK_LABELS}, got {blocked!r}")
 
 
-def final_state(config: ExperimentConfig, phase_deg: float, blocked: str = "none") -> np.ndarray:
-    """Density operator just after the exit beam splitter.
+def _check_real(name: str, value) -> None:
+    """Finite real number, numpy scalars included; bools are rejected."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{name} out of range: {value!r}")
 
-    Subnormalized when a path is blocked; its trace is the survival
-    probability.
+
+def _branch_amplitudes(config: ExperimentConfig, phases_deg, blocked: str = "none"):
+    """Dephasing-branch weights (2,) and output amplitudes (2, n, 4).
+
+    A V-polarized photon enters path 1.  Branch 0 is the pure state after the
+    exit splitter; branch 1 is the same state with the path-2 amplitudes
+    negated before the exit splitter.  Their mixture with weights
+    ((1 + v_d)/2, (1 - v_d)/2) is the dephasing channel, which scales the
+    cross-path coherence by v_d.  Amplitudes along the last axis are
+    (path 1, H), (path 1, V), (path 2, H), (path 2, V) at the exit.
     """
     _check_blocked(blocked)
-    if not (isinstance(phase_deg, (int, float)) and math.isfinite(phase_deg)):
-        raise ValueError(f"phase_deg out of range: {phase_deg!r}")
-    bs = optics.beam_splitter_unitary(config.beamsplitter)
-    rho = qstate.pure_density(qstate.basis_ket(4, qstate.joint_index(1, qstate.V)))
-    rho = qstate.evolve_unitary(rho, bs)
-    if blocked != "none":
-        rho = qstate.apply_projector(rho, optics.blocker_projector(int(blocked[-1])))
-    rho = qstate.evolve_unitary(rho, optics.hwp_rotation_unitary(config.rotation))
-    rho = qstate.evolve_unitary(rho, optics.elliptical_retarder_unitary(config.retarder))
-    rho = qstate.evolve_unitary(rho, optics.phase_shifter_unitary(math.radians(phase_deg)))
-    rho = qstate.evolve_channel(rho, optics.dephasing_kraus(config.dephasing))
-    rho = qstate.evolve_unitary(rho, bs)
-    return rho
+    bs = config.beamsplitter
+    c, s = math.cos(config.rotation.theta0), math.sin(config.rotation.theta0)
+    # Entry splitter and blocker: the V amplitude in each path.
+    v1 = math.sqrt(1.0 - bs.reflectivity_v) if blocked != "path1" else 0.0
+    v2 = 1j * math.sqrt(bs.reflectivity_v) if blocked != "path2" else 0.0
+    # R(+theta0) in path 1, R(-theta0) in path 2, then the retarders.
+    path1 = (-s * v1, c * v1 * cmath.exp(1j * config.retarder.phi_hv_path1))
+    path2 = (s * v2, c * v2 * cmath.exp(1j * config.retarder.phi_hv_path2))
+    # Phase exp(-i phi) on path 2, with the sign flip of branch 1.
+    z = np.exp(-1j * np.radians(np.asarray(phases_deg, dtype=float)))
+    z = np.stack((z, -z))
+    out = np.empty(z.shape + (4,), dtype=complex)
+    for pol, r in ((0, bs.reflectivity_h), (1, bs.reflectivity_v)):
+        t, rr = math.sqrt(1.0 - r), 1j * math.sqrt(r)
+        a2 = path2[pol] * z
+        out[..., pol] = t * path1[pol] + rr * a2
+        out[..., 2 + pol] = rr * path1[pol] + t * a2
+    v_d = config.dephasing.v_d
+    return np.array(((1.0 + v_d) / 2.0, (1.0 - v_d) / 2.0)), out
 
 
-def port_projector(port: str, analyzer_deg: float, axis: str) -> np.ndarray:
-    """Projector onto (output path of ``port``) x (analyzer axis)."""
-    _check_port(port)
-    path = _PORT_PATH[port]
-    keep = np.zeros((2, 2), dtype=complex)
-    keep[path - 1, path - 1] = 1.0
-    spec = PolarizerSpec(theta_gt=math.radians(analyzer_deg), axis=axis)
-    a = optics.analyzer_axis(spec.theta_gt, spec.axis)
-    return qstate.tensor_product(keep, np.outer(a, a.conj()))
+def _port_probabilities(weights, amps, port: str, analyzer_deg):
+    """Joint probabilities (H, V) at a port along the analyzer axes.
+
+    The H-transmitting axis at angle delta is cos|H> + sin|V>, the V axis
+    its orthogonal complement.  ``analyzer_deg`` broadcasts against the
+    phase axis of ``amps``.
+    """
+    base = _PORT_BASE[port]
+    d = np.radians(np.asarray(analyzer_deg, dtype=float))
+    cos, sin = np.cos(d), np.sin(d)
+    amp_h, amp_v = amps[..., base], amps[..., base + 1]
+    out = []
+    for a in (cos * amp_h + sin * amp_v, cos * amp_v - sin * amp_h):
+        sq = a.real**2 + a.imag**2
+        out.append(weights[0] * sq[0] + weights[1] * sq[1])
+    return out
+
+
+def joint_probabilities(
+    config: ExperimentConfig,
+    phases_deg,
+    blocked: str = "none",
+    analyzer_plus_deg=None,
+    analyzer_minus_deg=None,
+) -> np.ndarray:
+    """Exact joint outcome probabilities over an array of phases.
+
+    Returns an (n, 4) array with columns P(+, H), P(+, V), P(-, H),
+    P(-, V); a row sums to the survival probability (1 unless a path is
+    blocked).  Analyzer angles default to the per-port compensation angles
+    of the config and may be arrays that broadcast against the phases.
+    """
+    phases = np.asarray(phases_deg, dtype=float)
+    if phases.ndim != 1 or not np.all(np.isfinite(phases)):
+        raise ValueError("phases_deg must be a 1-d array of finite angles")
+    d_plus = config.gt_compensation_plus if analyzer_plus_deg is None else analyzer_plus_deg
+    d_minus = config.gt_compensation_minus if analyzer_minus_deg is None else analyzer_minus_deg
+    weights, amps = _branch_amplitudes(config, phases, blocked)
+    columns = _port_probabilities(weights, amps, PORT_PLUS, d_plus)
+    columns += _port_probabilities(weights, amps, PORT_MINUS, d_minus)
+    # rounding can lift a near-certain outcome an ulp above 1
+    return np.minimum(np.stack(np.broadcast_arrays(*columns), axis=-1), 1.0)
+
+
+def final_state(config: ExperimentConfig, phase_deg: float, blocked: str = "none") -> np.ndarray:
+    """Density operator just after the exit beam splitter, from the engine.
+
+    The branch mixture sum_b w_b |psi_b><psi_b| in the amplitude order
+    above; subnormalized when a path is blocked, with the survival
+    probability as its trace.  No model path needs it; it exposes the state
+    for inspection.
+    """
+    _check_real("phase_deg", phase_deg)
+    weights, amps = _branch_amplitudes(config, (float(phase_deg),), blocked)
+    psi = amps[:, 0]
+    return np.einsum("b,bi,bj->ij", weights, psi, psi.conj())
 
 
 def run_once(
@@ -242,22 +330,20 @@ def run_once(
     """Exact outcome probabilities of one run at one phase.
 
     Analyzer angles default to the per-port compensation angles of the
-    config; passing explicit values supports analyzer-angle scans.
+    config; passing explicit values supports analyzer-angle scans.  Angles
+    may be any finite real number, numpy scalars included.
     """
-    rho = final_state(config, phase_deg, blocked)
-    d_plus = config.gt_compensation_plus if analyzer_plus_deg is None else analyzer_plus_deg
-    d_minus = config.gt_compensation_minus if analyzer_minus_deg is None else analyzer_minus_deg
-    probs = {}
-    for port, delta in ((PORT_PLUS, d_plus), (PORT_MINUS, d_minus)):
-        for axis in ("H", "V"):
-            probs[(port, axis)] = qstate.outcome_probability(rho, port_projector(port, delta, axis))
-    return OutcomeProbabilities(
-        p_plus_h=probs[(PORT_PLUS, "H")],
-        p_plus_v=probs[(PORT_PLUS, "V")],
-        p_minus_h=probs[(PORT_MINUS, "H")],
-        p_minus_v=probs[(PORT_MINUS, "V")],
-        survival=float(np.trace(rho).real),
-    )
+    _check_real("phase_deg", phase_deg)
+    for name, value in (
+        ("analyzer_plus_deg", analyzer_plus_deg),
+        ("analyzer_minus_deg", analyzer_minus_deg),
+    ):
+        if value is not None:
+            _check_real(name, value)
+    row = joint_probabilities(
+        config, (float(phase_deg),), blocked, analyzer_plus_deg, analyzer_minus_deg
+    )[0]
+    return OutcomeProbabilities.from_row(row.tolist())
 
 
 def conditional_flip_probability(probs: OutcomeProbabilities, port: str) -> float:
@@ -280,7 +366,8 @@ def reference_flip_probability(config: ExperimentConfig) -> float:
     """
     values = []
     for blocked in ("path1", "path2"):
-        probs = run_once(config, 0.0, blocked)
+        row = joint_probabilities(config, (0.0,), blocked)[0].tolist()
+        probs = OutcomeProbabilities.from_row(row)
         for port in PORTS:
             values.append(conditional_flip_probability(probs, port))
     return sum(values) / len(values)
@@ -343,34 +430,27 @@ def counterfactual_ratio(p: float) -> float:
     return (1.0 - p) / p
 
 
-def _record(
-    phase_deg: float, probs: OutcomeProbabilities, reference: float
-) -> DelocalizationRecord:
+def _record(phase_deg: float, row, reference: float) -> DelocalizationRecord:
     fields: dict[str, float | None] = {}
-    for port, key in ((PORT_PLUS, "plus"), (PORT_MINUS, "minus")):
-        total = probs.port_probability(port)
+    for key, p_h, p_v in (("plus", row[0], row[1]), ("minus", row[2], row[3])):
+        total = p_h + p_v
+        fields[f"p_{key}"] = total
         if total < _A2_PORT_FLOOR:
             fields[f"p_h_given_{key}"] = None
             fields[f"a2_{key}"] = None
             continue
-        p_h = conditional_flip_probability(probs, port)
-        fields[f"p_h_given_{key}"] = p_h
-        fields[f"a2_{key}"] = p_h / reference if reference > 0.0 else None
-    return DelocalizationRecord(
-        phase_deg=phase_deg,
-        p_plus=probs.port_probability(PORT_PLUS),
-        p_minus=probs.port_probability(PORT_MINUS),
-        **fields,
-    )
+        flip = p_h / total
+        fields[f"p_h_given_{key}"] = flip
+        fields[f"a2_{key}"] = flip / reference if reference > 0.0 else None
+    return DelocalizationRecord(phase_deg=phase_deg, **fields)
 
 
 def sweep(config: ExperimentConfig) -> SweepResult:
     """Exact-model sweep over the config's phase grid, in grid order."""
     reference = reference_flip_probability(config)
-    records = tuple(
-        _record(phase, run_once(config, phase), reference)
-        for phase in config.phase_grid.phases_deg()
-    )
+    phases = config.phase_grid.phases_deg()
+    table = joint_probabilities(config, phases).tolist()
+    records = tuple(_record(phase, row, reference) for phase, row in zip(phases, table))
     return SweepResult(records=records, reference_flip_prob=reference)
 
 
@@ -386,16 +466,13 @@ def gt_scan(
     _check_port(port)
     if open_path not in (1, 2):
         raise ValueError(f"open_path must be 1 or 2, got {open_path!r}")
+    degs = np.asarray(analyzer_degs, dtype=float)
+    if not np.all(np.isfinite(degs)):
+        raise ValueError("analyzer angles must be finite")
     blocked = "path2" if open_path == 1 else "path1"
-    rho = final_state(config, 0.0, blocked)
-    path = _PORT_PATH[port]
-    keep = np.zeros((2, 2), dtype=complex)
-    keep[path - 1, path - 1] = 1.0
-    port_total = float(np.trace(qstate.tensor_product(keep, np.eye(2)) @ rho).real)
-    if port_total <= 0.0:
+    weights, amps = _branch_amplitudes(config, (0.0,), blocked)
+    p_h, p_v = _port_probabilities(weights, amps, port, degs)
+    port_total = p_h + p_v
+    if np.any(port_total <= 0.0):
         raise UndefinedConditionalError(f"port {port} has zero probability")
-    out = []
-    for deg in np.asarray(analyzer_degs, dtype=float):
-        p = qstate.outcome_probability(rho, port_projector(port, float(deg), "H"))
-        out.append(p / port_total)
-    return np.asarray(out)
+    return p_h / port_total

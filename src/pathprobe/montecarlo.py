@@ -174,15 +174,10 @@ def simulate_counts(
 
 
 def _joint_probability(probs, port, setting):
-    table = {
-        (interferometer.PORT_PLUS, "H"): probs.p_plus_h,
-        (interferometer.PORT_PLUS, "V"): probs.p_plus_v,
-        (interferometer.PORT_MINUS, "H"): probs.p_minus_h,
-        (interferometer.PORT_MINUS, "V"): probs.p_minus_v,
-    }
-    if (port, setting) not in table:
+    if port not in _PORT_INDEX or setting not in _SETTING_INDEX:
         raise ValueError(f"unknown channel: {(port, setting)!r}")
-    return table[(port, setting)]
+    side = "plus" if port == interferometer.PORT_PLUS else "minus"
+    return getattr(probs, f"p_{side}_{setting.lower()}")
 
 
 def simulate_background_table(config: ExperimentConfig, repeats: int = 1) -> tuple:
@@ -402,10 +397,10 @@ def mc_protocol(
     phases = config.phase_grid.phases_deg()
     table_index = _background_index(background_table) if background_table is not None else {}
 
-    model = {}
-    for kind in KINDS:
-        for i, phase in enumerate(phases):
-            model[(kind, i)] = interferometer.run_once(config, phase, _BLOCKED_FOR_KIND[kind])
+    model = {
+        kind: interferometer.joint_probabilities(config, phases, _BLOCKED_FOR_KIND[kind]).tolist()
+        for kind in KINDS
+    }
 
     raw_records = []
     background_records = []
@@ -436,8 +431,10 @@ def mc_protocol(
                     dark = config.dark_rate(port)
                 background_records.append(background)
 
+                # model columns: (+, H), (+, V), (-, H), (-, V)
+                column = 2 * _PORT_INDEX[port] + _SETTING_INDEX[setting]
                 for i, phase in enumerate(phases):
-                    joint = _joint_probability(model[(kind, i)], port, setting)
+                    joint = model[kind][i][column]
                     lam = (config.photon_rate * joint + dark) * config.duration
                     counts = 0
                     for repeat in range(repeats):

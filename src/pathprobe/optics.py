@@ -1,6 +1,8 @@
-"""Operator constructors for the elements of the two-path circuit.
+"""Parameter specs and sign conventions of the two-path circuit elements.
 
-Conventions, fixed once for the whole package:
+The specs validate element parameters at construction; the amplitude
+engine in ``interferometer`` applies the elements with these conventions,
+fixed once for the whole package:
 
 * Beam splitter: per polarization p the 2x2 path block is
   [[sqrt(T_p), i*sqrt(R_p)], [i*sqrt(R_p), sqrt(T_p)]] with T_p = 1 - R_p,
@@ -12,10 +14,14 @@ Conventions, fixed once for the whole package:
   |V> -> -sin|H> + cos|V>.  The wave plate pair applies R(+theta0) in
   path 1 and R(-theta0) in path 2.
 * Elliptical retarder: per path k the polarization block diag(1, e^{i*phi_k}).
-* Dephasing: a two-element Kraus channel that keeps path populations and
-  scales path off-diagonals by the retention factor v_d.
+* Dephasing: keeps path populations and scales path coherences by the
+  retention factor v_d; the engine writes it as the mixture, with weights
+  (1 + v_d)/2 and (1 - v_d)/2, of the identity and of a sign flip on the
+  path-2 amplitudes.
 * Analyzer: the H-transmitting axis at angle theta_gt from H is
   cos|H> + sin|V>; the V-transmitting axis is its orthogonal complement.
+* Blocker: removes the amplitudes of the blocked path, leaving a
+  subnormalized state whose norm is the survival probability.
 
 Angles here are radians; degree/radian conversion happens at the protocol
 level (phase grids, analyzer settings).
@@ -25,10 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from . import qstate
 
 
 @dataclass(frozen=True)
@@ -81,105 +83,3 @@ class DephasingSpec:
     def __post_init__(self):
         if not (isinstance(self.v_d, (int, float)) and 0.0 <= self.v_d <= 1.0):
             raise ValueError(f"v_d out of range: {self.v_d!r} (must be in [0, 1])")
-
-
-@dataclass(frozen=True)
-class PolarizerSpec:
-    """Analyzer axis angle theta_gt (radians) and transmitting axis H or V."""
-
-    theta_gt: float = 0.0
-    axis: str = "H"
-
-    def __post_init__(self):
-        if not (isinstance(self.theta_gt, (int, float)) and math.isfinite(self.theta_gt)):
-            raise ValueError(f"theta_gt out of range: {self.theta_gt!r}")
-        if self.axis not in ("H", "V"):
-            raise ValueError(f"axis must be 'H' or 'V', got {self.axis!r}")
-
-
-def rotation_matrix(theta: float) -> np.ndarray:
-    """2x2 polarization rotation in the (H, V) basis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def beam_splitter_unitary(spec: BeamSplitterSpec) -> np.ndarray:
-    """4x4 beam splitter, block diagonal in polarization."""
-    u = np.zeros((4, 4), dtype=complex)
-    for pol, r in ((qstate.H, spec.reflectivity_h), (qstate.V, spec.reflectivity_v)):
-        t = math.sqrt(1.0 - r)
-        rr = 1j * math.sqrt(r)
-        block = np.array([[t, rr], [rr, t]], dtype=complex)
-        proj = np.zeros((2, 2), dtype=complex)
-        proj[pol, pol] = 1.0
-        u += qstate.tensor_product(block, proj)
-    return u
-
-
-def phase_shifter_unitary(phi: float) -> np.ndarray:
-    """exp(-i*phi) on path 2, identity on polarization."""
-    if not (isinstance(phi, (int, float)) and math.isfinite(phi)):
-        raise ValueError(f"phi out of range: {phi!r}")
-    path = np.diag([1.0, np.exp(-1j * phi)])
-    return qstate.tensor_product(path, np.eye(2))
-
-
-def hwp_rotation_unitary(spec: RotationSpec) -> np.ndarray:
-    """R(+theta0) in path 1 and R(-theta0) in path 2."""
-    p1 = np.diag([1.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 1.0]).astype(complex)
-    return qstate.tensor_product(p1, rotation_matrix(spec.theta0)) + qstate.tensor_product(
-        p2, rotation_matrix(-spec.theta0)
-    )
-
-
-def elliptical_retarder_unitary(spec: RetarderSpec) -> np.ndarray:
-    """diag(1, e^{i*phi_hv_k}) on the polarization of path k."""
-    p1 = np.diag([1.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 1.0]).astype(complex)
-    r1 = np.diag([1.0, np.exp(1j * spec.phi_hv_path1)])
-    r2 = np.diag([1.0, np.exp(1j * spec.phi_hv_path2)])
-    return qstate.tensor_product(p1, r1) + qstate.tensor_product(p2, r2)
-
-
-def dephasing_kraus(spec: DephasingSpec) -> list[np.ndarray]:
-    """Kraus pair scaling path off-diagonals by v_d.
-
-    K0 = sqrt((1+v_d)/2) * I4 and K1 = sqrt((1-v_d)/2) * (sign(path) x I2),
-    where sign(path) = diag(1, -1) on the path factor.
-    """
-    w0 = math.sqrt((1.0 + spec.v_d) / 2.0)
-    w1 = math.sqrt((1.0 - spec.v_d) / 2.0)
-    path_sign = np.diag([1.0, -1.0]).astype(complex)
-    return [w0 * np.eye(4, dtype=complex), w1 * qstate.tensor_product(path_sign, np.eye(2))]
-
-
-def analyzer_axis(theta_gt: float, axis: str = "H") -> np.ndarray:
-    """Unit Jones vector of the transmitting axis of an analyzer."""
-    c, s = math.cos(theta_gt), math.sin(theta_gt)
-    if axis == "H":
-        return np.array([c, s], dtype=complex)
-    if axis == "V":
-        return np.array([-s, c], dtype=complex)
-    raise ValueError(f"axis must be 'H' or 'V', got {axis!r}")
-
-
-def polarizer_projector(spec: PolarizerSpec) -> np.ndarray:
-    """4x4 projector onto (any path) x (analyzer transmitting axis)."""
-    a = analyzer_axis(spec.theta_gt, spec.axis)
-    pol = np.outer(a, a.conj())
-    return qstate.tensor_product(np.eye(2), pol)
-
-
-def blocker_projector(path: int) -> np.ndarray:
-    """Projector implementing a blocker in the named path.
-
-    Blocking path 1 projects onto path 2 and vice versa; the polarization
-    factor is untouched.  Applying it leaves a subnormalized state whose
-    trace is the survival probability.
-    """
-    if path not in (1, 2):
-        raise ValueError(f"path must be 1 or 2, got {path!r}")
-    keep = np.zeros((2, 2), dtype=complex)
-    keep[2 - path, 2 - path] = 1.0
-    return qstate.tensor_product(keep, np.eye(2))

@@ -1,16 +1,13 @@
-"""Dense linear algebra on the path (x) polarization state space.
+"""Validated density operators and projectors for the post-selected path formulas.
 
-Fixed basis ordering, shared by every module in this package:
-
-    joint space (dim 4):  0 |1,H>   1 |1,V>   2 |2,H>   3 |2,V>
-    path space (dim 2):   0 |1>     1 |2>
-
-States are density operators stored as complex ndarrays.  A state may be
-subnormalized after a projective event; its trace is then the survival
-probability of that event, and ``renormalize`` makes the conditioning
-explicit.  Only dimensions 2 and 4 occur, so everything is dense and the
-algebraic identities (unitarity, completeness, projector idempotence) are
-checked on entry against ``ATOL``.
+The exact interferometer model does not use this module: it is an
+amplitude engine in ``interferometer`` that never builds an operator.  What
+stays here serves the 2x2 theory route (``interferometer.weak_a_squared``
+and its ``counterfactual_ratio`` cross-check): state vectors and their
+density operators, Hermiticity and projector predicates, density
+validation, and outcome probabilities.  Dimensions 2 (path) and 4
+(path (x) polarization, ordered |1,H>, |1,V>, |2,H>, |2,V>) are accepted;
+everything is dense and checked on entry against ``ATOL``.
 """
 
 from __future__ import annotations
@@ -22,29 +19,7 @@ import numpy as np
 ATOL = 1e-12
 PSD_ATOL = 1e-10
 
-H = 0
-V = 1
-
 _DIMS = (2, 4)
-
-
-def joint_index(path: int, pol: int) -> int:
-    """Basis index of |path, pol> in the 4-dim ordering above."""
-    if path not in (1, 2):
-        raise ValueError(f"path must be 1 or 2, got {path!r}")
-    if pol not in (H, V):
-        raise ValueError(f"pol must be qstate.H or qstate.V, got {pol!r}")
-    return 2 * (path - 1) + pol
-
-
-def basis_ket(dim: int, index: int) -> np.ndarray:
-    if dim not in _DIMS:
-        raise ValueError(f"dim must be one of {_DIMS}, got {dim!r}")
-    if not 0 <= index < dim:
-        raise ValueError(f"index must lie in [0, {dim}), got {index!r}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
-    return psi
 
 
 def ket(amplitudes: Sequence[complex] | np.ndarray) -> np.ndarray:
@@ -80,11 +55,6 @@ def is_hermitian(op, atol: float = ATOL) -> bool:
     return bool(np.max(np.abs(m - m.conj().T)) <= atol)
 
 
-def is_unitary(op, atol: float = ATOL) -> bool:
-    m = _square(op)
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= atol)
-
-
 def is_projector(op, atol: float = ATOL) -> bool:
     m = _square(op)
     return is_hermitian(m, atol) and bool(np.max(np.abs(m @ m - m)) <= atol)
@@ -103,83 +73,15 @@ def validate_density(rho, atol: float = ATOL) -> np.ndarray:
     return m
 
 
-def tensor_product(path_op, pol_op) -> np.ndarray:
-    """Kronecker product path (x) polarization in the fixed basis ordering."""
-    a = np.asarray(path_op, dtype=complex)
-    b = np.asarray(pol_op, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"tensor factors must both be 2x2, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
-def _match(rho: np.ndarray, op: np.ndarray) -> None:
-    if rho.shape != op.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs operator {op.shape}")
-
-
-def evolve_unitary(rho, u) -> np.ndarray:
-    """U rho U^dag; rejects non-unitary U."""
-    m = _square(rho, "state")
-    un = _square(u)
-    if not is_unitary(un):
-        raise ValueError("operator is not unitary")
-    _match(m, un)
-    return un @ m @ un.conj().T
-
-
-def evolve_channel(rho, kraus_ops) -> np.ndarray:
-    """sum_k K rho K^dag; rejects Kraus sets that are not trace preserving."""
-    m = _square(rho, "state")
-    ops = [_square(k, "Kraus operator") for k in kraus_ops]
-    if not ops:
-        raise ValueError("empty Kraus set")
-    total = sum(k.conj().T @ k for k in ops)
-    if np.max(np.abs(total - np.eye(total.shape[0]))) > ATOL:
-        raise ValueError("Kraus operators do not sum to the identity")
-    for k in ops:
-        _match(m, k)
-    out = np.zeros_like(m)
-    for k in ops:
-        out += k @ m @ k.conj().T
-    return out
-
-
-def apply_projector(rho, projector) -> np.ndarray:
-    """P rho P; the result is subnormalized by the outcome probability."""
-    m = _square(rho, "state")
-    p = _square(projector, "projector")
-    if not is_projector(p):
-        raise ValueError("operator is not a projector")
-    _match(m, p)
-    return p @ m @ p
-
-
 def outcome_probability(rho, projector) -> float:
     """Tr(P rho), clamped into [0, 1]; values outside the tolerance band raise."""
     m = _square(rho, "state")
     p = _square(projector, "projector")
     if not is_projector(p):
         raise ValueError("operator is not a projector")
-    _match(m, p)
+    if m.shape != p.shape:
+        raise ValueError(f"dimension mismatch: state {m.shape} vs operator {p.shape}")
     value = float(np.trace(p @ m).real)
     if value < -ATOL or value > 1.0 + ATOL:
         raise ValueError(f"outcome probability {value} outside [0, 1]")
     return min(max(value, 0.0), 1.0)
-
-
-def trace_out_polarization(rho) -> np.ndarray:
-    """Partial trace over polarization: 4x4 joint state -> 2x2 path state."""
-    m = _square(rho, "state")
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 joint state, got shape {m.shape}")
-    blocks = m.reshape(2, 2, 2, 2)
-    return np.einsum("ikjk->ij", blocks)
-
-
-def renormalize(rho) -> tuple[np.ndarray, float]:
-    """Split a subnormalized state into (normalized state, survival probability)."""
-    m = _square(rho, "state")
-    tr = float(np.trace(m).real)
-    if tr <= ATOL:
-        raise ValueError("state has zero survival probability")
-    return m / tr, tr

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import hashlib
 import importlib.resources
 import json
 import math
@@ -139,6 +140,27 @@ def test_config_error_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "v_d out of range" in err
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"photon_rate": Infinity}', "photon_rate"),
+        ('{"dark_rate_minus": NaN}', "dark_rate_minus"),
+        ('{"duration": Infinity}', "duration"),
+        ('{"photon_rate": 1e30}', "photon_rate"),
+    ],
+)
+def test_non_finite_or_huge_rate_names_the_key(tmp_path, capsys, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "mc-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert key in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ------------------------------------------------------------------ commands
@@ -316,3 +338,35 @@ def test_figures_command(tmp_path, capsys):
     ]
     header = open(outdir / "fig4.csv").readline().strip()
     assert header == "phase_deg,p_plus,p_minus"
+
+
+# The counting contract: SHA-256 of the seed-7 ``mc-sweep`` outputs of the
+# paper preset.  Any change to a Poisson mean that moves a draw, to the
+# stream keying, to the estimators or to the CSV format changes them.  Pinned
+# with numpy 2.4.6; a numpy release that changes its Poisson sampler would
+# change them too.
+GOLDEN_MC_SWEEP = {
+    "sweep.csv": "c65fa30cc124441774a1fe1eef29b815ac20d53478ac8cfa40efd6548c54f1fc",
+    "counts.csv": "344132ed22cf833b46d6b9d50ff077121a5e29c9aaa7241811cb95652d6bdb6a",
+    "background.csv": "16416d7888fd06ea1229c8957aef7ac4fda5fa1041975a175ed4402c1b9998e3",
+    "bootstrap_sweep.csv": "a71205040e79ad10a177604fdc2b5bd93fe784d6d0d09ca002e94c54fdf88177",
+}
+
+
+def test_mc_sweep_golden_digests(tmp_path, capsys):
+    out = {name: str(tmp_path / name) for name in GOLDEN_MC_SWEEP}
+    code, _, err = run_cli(
+        capsys, "mc-sweep", "--config", "paper", "--seed", "7", "--out", out["sweep.csv"],
+        "--counts-out", out["counts.csv"], "--background-out", out["background.csv"],
+    )
+    assert code == 0, err
+    code, _, err = run_cli(
+        capsys, "mc-sweep", "--config", "paper", "--seed", "7", "--bootstrap", "50",
+        "--out", out["bootstrap_sweep.csv"],
+    )
+    assert code == 0, err
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_MC_SWEEP
+    }
+    assert digests == GOLDEN_MC_SWEEP

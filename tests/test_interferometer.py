@@ -440,3 +440,92 @@ def test_sweep_result_requires_increasing_phases():
     rec2 = dataclasses.replace(rec, phase_deg=-1.0)
     with pytest.raises(ValueError):
         itf.SweepResult(records=(rec, rec2), reference_flip_prob=0.015)
+
+
+@pytest.mark.parametrize("phase", [np.float32(10.0), np.int64(3), np.float64(10.0), 3])
+def test_run_once_accepts_real_scalars(phase):
+    cfg = ideal_config(dephasing=DephasingSpec(v_d=0.9))
+    probs = itf.run_once(
+        cfg, phase, analyzer_plus_deg=np.float32(2.0), analyzer_minus_deg=np.int64(-1)
+    )
+    want = itf.run_once(cfg, float(phase), analyzer_plus_deg=2.0, analyzer_minus_deg=-1.0)
+    assert probs == want
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), float("nan"), float("inf"), "10"])
+def test_run_once_rejects_non_real_angles(value):
+    cfg = ideal_config()
+    with pytest.raises(ValueError, match="phase_deg out of range"):
+        itf.run_once(cfg, value)
+    with pytest.raises(ValueError, match="analyzer_plus_deg out of range"):
+        itf.run_once(cfg, 0.0, analyzer_plus_deg=value)
+
+
+def test_joint_probabilities_matches_run_once():
+    cfg = ideal_config(
+        beamsplitter=BeamSplitterSpec(reflectivity_h=0.6, reflectivity_v=0.45),
+        retarder=RetarderSpec(phi_hv_path1=0.2, phi_hv_path2=-0.1),
+        dephasing=DephasingSpec(v_d=0.8),
+        gt_compensation_plus=1.5,
+        gt_compensation_minus=-0.5,
+    )
+    phases = cfg.phase_grid.phases_deg()
+    for blocked in itf.BLOCK_LABELS:
+        table = itf.joint_probabilities(cfg, phases, blocked)
+        assert table.shape == (len(phases), 4)
+        for phase, row in zip(phases, table.tolist()):
+            assert itf.OutcomeProbabilities.from_row(row) == itf.run_once(cfg, phase, blocked)
+
+
+def test_joint_probabilities_rejects_bad_inputs():
+    cfg = ideal_config()
+    with pytest.raises(ValueError, match="blocked"):
+        itf.joint_probabilities(cfg, [0.0], "path3")
+    for phases in ([0.0, float("inf")], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="phases_deg"):
+            itf.joint_probabilities(cfg, phases)
+
+
+@pytest.mark.parametrize("key", ["photon_rate", "dark_rate_plus", "dark_rate_minus", "duration"])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_config_rejects_non_finite_rates(key, value):
+    with pytest.raises(ValueError, match=f"{key} out of range"):
+        itf.ExperimentConfig(**{key: value})
+
+
+@pytest.mark.parametrize(
+    "overrides,dark_key",
+    [
+        ({"photon_rate": 1e30}, "dark_rate_minus"),
+        ({"duration": 1e17}, "dark_rate_minus"),
+        ({"dark_rate_plus": 1e17, "dark_rate_minus": 1.0}, "dark_rate_plus"),
+    ],
+)
+def test_config_rejects_poisson_means_beyond_numpy(overrides, dark_key):
+    with pytest.raises(ValueError, match=rf"\(photon_rate \+ {dark_key}\) \* duration"):
+        itf.ExperimentConfig(**overrides)
+    # the largest mean numpy accepts still passes, and draws
+    limit = itf._POISSON_LAM_MAX
+    cfg = itf.ExperimentConfig(photon_rate=limit / 2.0 - 800.0, duration=2.0)
+    np.random.default_rng(0).poisson((cfg.photon_rate + cfg.dark_rate_minus) * cfg.duration)
+
+
+def test_final_state_is_the_branch_mixture():
+    cfg = ideal_config(
+        beamsplitter=BeamSplitterSpec(reflectivity_h=0.6, reflectivity_v=0.45),
+        retarder=RetarderSpec(phi_hv_path1=0.3),
+        dephasing=DephasingSpec(v_d=0.7),
+    )
+    for blocked in itf.BLOCK_LABELS:
+        rho = itf.final_state(cfg, 40.0, blocked)
+        qstate.validate_density(rho)
+        probs = itf.run_once(cfg, 40.0, blocked)
+        assert abs(np.trace(rho).real - probs.survival) < 1e-15
+        # with zero compensation the analyzers read the diagonal
+        diagonal = [probs.p_minus_h, probs.p_minus_v, probs.p_plus_h, probs.p_plus_v]
+        assert np.allclose(np.diag(rho).real, diagonal, atol=1e-15, rtol=0.0)
+    # without dephasing the state stays pure; dephasing mixes it
+    pure = itf.final_state(dataclasses.replace(cfg, dephasing=DephasingSpec(v_d=1.0)), 40.0)
+    assert abs(np.trace(pure @ pure).real - 1.0) < 1e-14
+    mixed = itf.final_state(cfg, 40.0)
+    assert np.trace(mixed @ mixed).real < 1.0 - 1e-3
