@@ -11,13 +11,16 @@ phase plus one source-blocked background count.  Rates are background
 subtracted, never clamped, and carry propagated one-sigma uncertainties;
 an optional parametric bootstrap replaces the first-order sigmas.
 
-Every draw uses its own counter-based Philox stream keyed by the config
-seed and the channel coordinates, so results are reproducible and
-independent of evaluation order.
+Every counting window uses its own counter-based Philox stream keyed by
+the config seed and the channel coordinates, so results are reproducible
+and independent of evaluation order.  One bit generator is re-keyed per
+window (``_keyed_poisson``) instead of constructing a generator per window;
+the keys and the draws are those of ``RandomStream.generator``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +33,6 @@ KINDS = ("interference", "path1", "path2")
 POL_SETTINGS = ("H", "V")
 
 _BLOCKED_FOR_KIND = {"interference": "none", "path1": "path2", "path2": "path1"}
-_KIND_FOR_BLOCKED = {blocked: kind for kind, blocked in _BLOCKED_FOR_KIND.items()}
 _KIND_INDEX = {kind: i for i, kind in enumerate(KINDS)}
 _PORT_INDEX = {interferometer.PORT_PLUS: 0, interferometer.PORT_MINUS: 1}
 _SETTING_INDEX = {"H": 0, "V": 1}
@@ -38,6 +40,8 @@ _PURPOSE_INDEX = {"raw": 0, "background": 1}
 _MASK64 = (1 << 64) - 1
 _COORD_BITS = 20
 _BOOTSTRAP_STREAM_ID = 1 << 62
+# (kind, port, setting) in the order of the raw and background records
+_CHANNELS = tuple(itertools.product(KINDS, interferometer.PORTS, POL_SETTINGS))
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,36 @@ def stream_for(
     return RandomStream(seed=seed, stream_id=sid)
 
 
+def _keyed_poisson(seed: int, stream_ids, lams) -> list[int]:
+    """One Poisson draw per (stream id, mean), each from its own Philox stream.
+
+    Draw k equals ``RandomStream(seed, stream_ids[k]).generator().poisson(lams[k])``.
+    One bit generator is re-keyed per draw to the state ``Philox(key=...)``
+    starts from (key words (seed, stream id), counter 0, empty buffer), which
+    skips the constructor's entropy gathering and lock for every window.
+    """
+    bit_generator = np.random.Philox(key=0)
+    poisson = np.random.Generator(bit_generator).poisson
+    state = bit_generator.state  # a fresh copy: counter 0, empty buffer
+    key = state["state"]["key"]
+    key[0] = seed & _MASK64
+    draws = []
+    for sid, lam in zip(stream_ids, lams):
+        key[1] = sid & _MASK64
+        bit_generator.state = state
+        draws.append(int(poisson(lam)))
+    return draws
+
+
+def _window_counts(seed: int, base: int, lams, repeats: int) -> list[int]:
+    """Entry i sums over repeats r a Poisson(lams[i]) draw from stream
+    ``base + (i << _COORD_BITS) + r``: the ``stream_for`` id of phase index i
+    and repeat r when ``base`` is the channel's id at phase index 0, repeat 0."""
+    stream_ids = [base + (i << _COORD_BITS) + r for i in range(len(lams)) for r in range(repeats)]
+    draws = _keyed_poisson(seed, stream_ids, [lam for lam in lams for _ in range(repeats)])
+    return [sum(draws[j : j + repeats]) for j in range(0, len(draws), repeats)]
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Detector counts for one channel.
@@ -138,72 +172,25 @@ class CorrectedRate:
     sigma: float
 
 
-def simulate_counts(
-    config: ExperimentConfig,
-    phase_deg: float,
-    port: str,
-    pol_setting: str,
-    blocked: str = "none",
-    stream: RandomStream | None = None,
-    probs=None,
-) -> CountRecord:
-    """Draw one raw count: Poisson((photon_rate * p_joint + dark) * duration).
-
-    p_joint is the exact joint outcome probability from ``run_once`` (it
-    already includes survival for blocked runs).  ``stream`` defaults to the
-    canonical repeat-0 stream for the channel; ``probs`` may carry a
-    precomputed ``OutcomeProbabilities`` to skip the model evaluation.
-    """
-    if blocked not in _KIND_FOR_BLOCKED:
-        raise ValueError(f"blocked out of range: {blocked!r}")
-    kind = _KIND_FOR_BLOCKED[blocked]
-    if probs is None:
-        probs = interferometer.run_once(config, phase_deg, blocked)
-    joint = _joint_probability(probs, port, pol_setting)
-    lam = (config.photon_rate * joint + config.dark_rate(port)) * config.duration
-    if stream is None:
-        stream = stream_for(config.seed, kind, port, pol_setting)
-    return CountRecord(
-        run_kind=kind,
-        port=port,
-        pol_setting=pol_setting,
-        phase_deg=float(phase_deg),
-        counts=int(stream.generator().poisson(lam)),
-        duration=config.duration,
-    )
-
-
-def _joint_probability(probs, port, setting):
-    if port not in _PORT_INDEX or setting not in _SETTING_INDEX:
-        raise ValueError(f"unknown channel: {(port, setting)!r}")
-    side = "plus" if port == interferometer.PORT_PLUS else "minus"
-    return getattr(probs, f"p_{side}_{setting.lower()}")
-
-
 def simulate_background_table(config: ExperimentConfig, repeats: int = 1) -> tuple:
     """Source-blocked counts for all twelve channels, summed over repeats."""
     _validate_repeats(repeats)
     records = []
-    for kind in KINDS:
-        for port in interferometer.PORTS:
-            for setting in POL_SETTINGS:
-                lam = config.dark_rate(port) * config.duration
-                counts = 0
-                for repeat in range(repeats):
-                    gen = stream_for(
-                        config.seed, kind, port, setting, 0, repeat, purpose="background"
-                    ).generator()
-                    counts += int(gen.poisson(lam))
-                records.append(
-                    CountRecord(
-                        run_kind=kind,
-                        port=port,
-                        pol_setting=setting,
-                        phase_deg=0.0,
-                        counts=counts,
-                        duration=config.duration * repeats,
-                    )
-                )
+    for kind, port, setting in _CHANNELS:
+        base = stream_for(config.seed, kind, port, setting, purpose="background").stream_id
+        (counts,) = _window_counts(
+            config.seed, base, [config.dark_rate(port) * config.duration], repeats
+        )
+        records.append(
+            CountRecord(
+                run_kind=kind,
+                port=port,
+                pol_setting=setting,
+                phase_deg=0.0,
+                counts=counts,
+                duration=config.duration * repeats,
+            )
+        )
     return tuple(records)
 
 
@@ -247,18 +234,38 @@ def _ratio_probability(num_rate, num_var, den_rate, den_var):
     return p, math.sqrt(var)
 
 
-def signal_to_noise(signal_rate: float, dark_rate: float) -> float:
-    """sqrt(signal / dark): shot-noise ratio of a rate over its background."""
-    if not (isinstance(signal_rate, (int, float)) and signal_rate >= 0):
-        raise ValueError(f"signal_rate out of range: {signal_rate!r}")
-    if not (isinstance(dark_rate, (int, float)) and dark_rate > 0):
-        raise ValueError(f"dark_rate out of range: {dark_rate!r}")
-    return math.sqrt(signal_rate / dark_rate)
-
-
 def _validate_repeats(repeats):
     if not isinstance(repeats, int) or isinstance(repeats, bool) or repeats < 1:
         raise ValueError(f"repeats out of range: {repeats!r}")
+    # the last repeat index must fit its field of the stream id
+    if repeats > 1 << _COORD_BITS:
+        raise ValueError(f"repeat out of range: {repeats - 1!r} (repeats = {repeats})")
+
+
+def _check_poisson_means(config, repeats, bootstrap_replicates, table_index):
+    """Reject, before any draw, a Poisson mean beyond numpy's limit.
+
+    A replayed background row's rate is its channel's dark rate in the raw
+    draws.  The bootstrap redraws each raw count summed over repeats, so with
+    it that sum's mean is bounded too.
+    """
+    limit = interferometer._POISSON_LAM_MAX
+    dark = max(config.dark_rate_plus, config.dark_rate_minus)
+    for key, row in table_index.items():
+        rate = row.counts / row.duration
+        lam = (config.photon_rate + rate) * config.duration
+        if not lam <= limit:
+            raise ValueError(
+                f"background_table row {key!r}: Poisson mean (photon_rate + counts/duration)"
+                f" * duration = {lam:.6g} exceeds numpy's limit {limit:.6g}"
+            )
+        dark = max(dark, rate)
+    lam = repeats * (config.photon_rate + dark) * config.duration
+    if bootstrap_replicates > 0 and not lam <= limit:
+        raise ValueError(
+            f"repeats = {repeats}: bootstrap Poisson mean repeats * (photon_rate + largest"
+            f" dark rate) * duration = {lam:.6g} exceeds numpy's limit {limit:.6g}"
+        )
 
 
 def _background_index(table):
@@ -387,81 +394,69 @@ def mc_protocol(
     channels present in the table use the table rate as the true background
     rate for the raw draws, so subtraction stays unbiased.  With
     ``bootstrap_replicates`` > 0 the first-order sigmas are replaced by
-    sample deviations over that many parametric count resamples.
+    sample deviations over that many parametric count resamples.  Window
+    indices beyond the stream-id layout and Poisson means beyond numpy's limit
+    raise ``ValueError`` before any draw.
     """
     _validate_repeats(repeats)
     if not isinstance(bootstrap_replicates, int) or isinstance(bootstrap_replicates, bool):
         raise ValueError(f"bootstrap_replicates out of range: {bootstrap_replicates!r}")
     if bootstrap_replicates < 0:
         raise ValueError(f"bootstrap_replicates out of range: {bootstrap_replicates!r}")
-    phases = config.phase_grid.phases_deg()
+    # the last phase index must fit its field of the stream id
+    steps = config.phase_grid.steps
+    if steps > 1 << _COORD_BITS:
+        raise ValueError(f"phase_index out of range: {steps - 1!r} (phase_grid.steps = {steps})")
     table_index = _background_index(background_table) if background_table is not None else {}
+    _check_poisson_means(config, repeats, bootstrap_replicates, table_index)
 
+    phases = config.phase_grid.phases_deg()
     model = {
-        kind: interferometer.joint_probabilities(config, phases, _BLOCKED_FOR_KIND[kind]).tolist()
+        kind: interferometer.joint_probabilities(config, phases, _BLOCKED_FOR_KIND[kind])
         for kind in KINDS
     }
+    # Windows are keyed one by one, so drawing the replaced rows too changes no count.
+    background_records = tuple(
+        table_index.get(channel, simulated)
+        for channel, simulated in zip(_CHANNELS, simulate_background_table(config, repeats))
+    )
 
     raw_records = []
-    background_records = []
     corrected = {}
-    for kind in KINDS:
-        for port in interferometer.PORTS:
-            for setting in POL_SETTINGS:
-                key = (kind, port, setting)
-                if key in table_index:
-                    background = table_index[key]
-                    dark = background.counts / background.duration
-                else:
-                    lam = config.dark_rate(port) * config.duration
-                    bg_counts = 0
-                    for repeat in range(repeats):
-                        gen = stream_for(
-                            config.seed, kind, port, setting, 0, repeat, purpose="background"
-                        ).generator()
-                        bg_counts += int(gen.poisson(lam))
-                    background = CountRecord(
-                        run_kind=kind,
-                        port=port,
-                        pol_setting=setting,
-                        phase_deg=0.0,
-                        counts=bg_counts,
-                        duration=config.duration * repeats,
-                    )
-                    dark = config.dark_rate(port)
-                background_records.append(background)
-
-                # model columns: (+, H), (+, V), (-, H), (-, V)
-                column = 2 * _PORT_INDEX[port] + _SETTING_INDEX[setting]
-                for i, phase in enumerate(phases):
-                    joint = model[kind][i][column]
-                    lam = (config.photon_rate * joint + dark) * config.duration
-                    counts = 0
-                    for repeat in range(repeats):
-                        gen = stream_for(config.seed, kind, port, setting, i, repeat).generator()
-                        counts += int(gen.poisson(lam))
-                    raw = CountRecord(
-                        run_kind=kind,
-                        port=port,
-                        pol_setting=setting,
-                        phase_deg=phase,
-                        counts=counts,
-                        duration=config.duration * repeats,
-                    )
-                    raw_records.append(raw)
-                    base = subtract_background(raw, background)
-                    corrected[(kind, port, setting, i)] = _TracedRate(
-                        run_kind=base.run_kind,
-                        port=base.port,
-                        pol_setting=base.pol_setting,
-                        phase_deg=base.phase_deg,
-                        rate=base.rate,
-                        sigma=base.sigma,
-                        _raw_counts=raw.counts,
-                        _raw_duration=raw.duration,
-                        _bg_counts=background.counts,
-                        _bg_duration=background.duration,
-                    )
+    for (kind, port, setting), background in zip(_CHANNELS, background_records):
+        row = table_index.get((kind, port, setting))
+        dark = config.dark_rate(port) if row is None else row.counts / row.duration
+        # model columns: (+, H), (+, V), (-, H), (-, V)
+        column = 2 * _PORT_INDEX[port] + _SETTING_INDEX[setting]
+        lams = [
+            (config.photon_rate * joint + dark) * config.duration
+            for joint in model[kind][:, column].tolist()
+        ]
+        base = stream_for(config.seed, kind, port, setting).stream_id
+        counts = _window_counts(config.seed, base, lams, repeats)
+        for i, phase in enumerate(phases):
+            raw = CountRecord(
+                run_kind=kind,
+                port=port,
+                pol_setting=setting,
+                phase_deg=phase,
+                counts=counts[i],
+                duration=config.duration * repeats,
+            )
+            raw_records.append(raw)
+            base_rate = subtract_background(raw, background)
+            corrected[(kind, port, setting, i)] = _TracedRate(
+                run_kind=base_rate.run_kind,
+                port=base_rate.port,
+                pol_setting=base_rate.pol_setting,
+                phase_deg=base_rate.phase_deg,
+                rate=base_rate.rate,
+                sigma=base_rate.sigma,
+                _raw_counts=raw.counts,
+                _raw_duration=raw.duration,
+                _bg_counts=background.counts,
+                _bg_duration=background.duration,
+            )
 
     reference, reference_sigma, rows = _pipeline_estimates(corrected, len(phases))
 

@@ -208,6 +208,43 @@ def test_mc_sweep_rejects_bad_repeats(tmp_path, capsys):
     assert "repeats" in err
 
 
+def test_mc_sweep_bootstrap_mean_beyond_numpy_names_repeats(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"photon_rate": 4.6e16, "phase_grid": {"steps": 2}}))
+    code, _, err = run_cli(
+        capsys, "mc-sweep", "--config", str(path), "--repeats", "3", "--bootstrap", "2",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "repeats" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_mc_sweep_background_row_beyond_numpy_names_the_row(tmp_path, capsys):
+    from pathprobe import montecarlo as mc
+
+    table = tmp_path / "bg.csv"
+    datasets.write_background_csv(
+        table,
+        [
+            mc.CountRecord(kind, port, setting, 0.0, 10**20, 1.0)
+            for kind in mc.KINDS
+            for port in itf.PORTS
+            for setting in mc.POL_SETTINGS
+        ],
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"background_table": str(table)}))
+    code, _, err = run_cli(
+        capsys, "mc-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1
+    assert err.startswith("error:")
+    assert "background_table row ('interference', '+', 'H')" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_blocked_command(tmp_path, capsys):
     out = tmp_path / "blocked.csv"
     assert run_cli(capsys, "blocked", "--out", str(out))[0] == 0
@@ -315,7 +352,8 @@ def test_subtract_missing_background_row(tmp_path, capsys):
     cfg = cli.parse_config("paper")
     from pathprobe import montecarlo as mc
 
-    datasets.write_counts_csv(counts, (mc.simulate_counts(cfg, 0.0, "+", "H"),))
+    raw = mc.CountRecord("interference", "+", "H", 0.0, 1234, cfg.duration)
+    datasets.write_counts_csv(counts, (raw,))
     table = [
         rec for rec in mc.simulate_background_table(cfg)
         if (rec.run_kind, rec.port, rec.pol_setting) != ("interference", "+", "H")
@@ -345,6 +383,7 @@ def test_figures_command(tmp_path, capsys):
 # stream keying, to the estimators or to the CSV format changes them.  Pinned
 # with numpy 2.4.6; a numpy release that changes its Poisson sampler would
 # change them too.
+GOLDEN_NUMPY = "2.4.6"
 GOLDEN_MC_SWEEP = {
     "sweep.csv": "c65fa30cc124441774a1fe1eef29b815ac20d53478ac8cfa40efd6548c54f1fc",
     "counts.csv": "344132ed22cf833b46d6b9d50ff077121a5e29c9aaa7241811cb95652d6bdb6a",
@@ -369,4 +408,7 @@ def test_mc_sweep_golden_digests(tmp_path, capsys):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN_MC_SWEEP
     }
-    assert digests == GOLDEN_MC_SWEEP
+    assert digests == GOLDEN_MC_SWEEP, (
+        f"counting digests differ: pinned under numpy {GOLDEN_NUMPY},"
+        f" running numpy {np.__version__}"
+    )

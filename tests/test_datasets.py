@@ -116,13 +116,7 @@ def test_background_roundtrip(tmp_path):
 
 
 def test_counts_roundtrip(tmp_path):
-    cfg = make_config()
-    records = tuple(
-        mc.simulate_counts(cfg, phase, port, setting)
-        for phase in (0.0, 90.0)
-        for port in itf.PORTS
-        for setting in mc.POL_SETTINGS
-    )
+    records = mc.mc_protocol(make_config(), repeats=2)[1]
     path = tmp_path / "counts.csv"
     datasets.write_counts_csv(path, records)
     assert datasets.read_counts_csv(path) == records

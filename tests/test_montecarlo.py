@@ -70,45 +70,124 @@ def test_stream_for_distinct_channels():
 # ------------------------------------------------------------ count drawing
 
 
-def test_simulate_counts_mean_matches_rate():
+def test_window_counts_mean_matches_rate():
     cfg = make_config(duration=100.0)
     probs = itf.run_once(cfg, 90.0)
     lam = (cfg.photon_rate * probs.p_plus_v + cfg.dark_rate("+")) * cfg.duration
     n = 400
-    total = 0
-    for repeat in range(n):
-        stream = mc.stream_for(cfg.seed, "interference", "+", "V", 0, repeat)
-        rec = mc.simulate_counts(cfg, 90.0, "+", "V", stream=stream, probs=probs)
-        assert rec.run_kind == "interference"
-        assert rec.duration == 100.0
-        total += rec.counts
-    mean = total / n
-    assert abs(mean - lam) < 5 * math.sqrt(lam / n)
-
-
-def test_simulate_counts_dark_only_channel():
-    # with the probe off nothing reaches H: the channel sees pure dark counts
-    cfg = make_config(theta0=0.0)
-    lam = cfg.dark_rate("+") * cfg.duration
-    n = 300
-    total = 0
-    for repeat in range(n):
-        stream = mc.stream_for(cfg.seed, "interference", "+", "H", 4, repeat)
-        rec = mc.simulate_counts(cfg, 0.0, "+", "H", stream=stream)
-        total += rec.counts
+    base = mc.stream_for(cfg.seed, "interference", "+", "V").stream_id
+    (total,) = mc._window_counts(cfg.seed, base, [lam], n)
     assert abs(total / n - lam) < 5 * math.sqrt(lam / n)
 
 
-def test_simulate_counts_blocked_kind_and_validation():
-    cfg = make_config()
-    rec = mc.simulate_counts(cfg, 0.0, "-", "H", blocked="path2")
-    assert rec.run_kind == "path1"
-    with pytest.raises(ValueError):
-        mc.simulate_counts(cfg, 0.0, "-", "H", blocked="path3")
-    with pytest.raises(ValueError):
-        mc.simulate_counts(cfg, 0.0, "x", "H")
-    with pytest.raises(ValueError):
-        mc.simulate_counts(cfg, 0.0, "-", "D")
+@pytest.mark.parametrize("seed", [0, 7, (1 << 63) + 5])
+def test_keyed_poisson_matches_per_window_generators(seed):
+    # lam 0, below 10 and above 10: numpy samples these three ways
+    streams = []
+    lams = []
+    for kind in mc.KINDS:
+        for port in itf.PORTS:
+            for setting in mc.POL_SETTINGS:
+                for purpose in ("raw", "background"):
+                    for phase_index in (0, 1, 40, (1 << 20) - 1):
+                        for repeat in (0, 3):
+                            for lam in (0.0, 3.7, 12.5, 2.75e6):
+                                streams.append(
+                                    mc.stream_for(
+                                        seed, kind, port, setting, phase_index, repeat, purpose
+                                    )
+                                )
+                                lams.append(lam)
+    want = [int(stream.generator().poisson(lam)) for stream, lam in zip(streams, lams)]
+    got = mc._keyed_poisson(seed, [stream.stream_id for stream in streams], lams)
+    assert got == want
+
+
+def test_mc_protocol_counts_match_per_window_streams():
+    # reference: one generator per window from stream_for, as the keying defines
+    cfg = make_config(seed=(1 << 63) + 11, phase_grid=itf.PhaseGrid(steps=5))
+    repeats = 3
+    _, raw, bg = mc.mc_protocol(cfg, repeats=repeats)
+    phases = cfg.phase_grid.phases_deg()
+    columns = [(port, setting) for port in itf.PORTS for setting in mc.POL_SETTINGS]
+    want_raw = []
+    want_bg = []
+    for kind in mc.KINDS:
+        joint = itf.joint_probabilities(cfg, phases, mc._BLOCKED_FOR_KIND[kind])
+        for port in itf.PORTS:
+            for setting in mc.POL_SETTINGS:
+                want_bg.append(
+                    sum(
+                        int(
+                            mc.stream_for(cfg.seed, kind, port, setting, 0, r, "background")
+                            .generator()
+                            .poisson(cfg.dark_rate(port) * cfg.duration)
+                        )
+                        for r in range(repeats)
+                    )
+                )
+                column = columns.index((port, setting))
+                for i in range(len(phases)):
+                    p = float(joint[i, column])
+                    lam = (cfg.photon_rate * p + cfg.dark_rate(port)) * cfg.duration
+                    want_raw.append(
+                        sum(
+                            int(
+                                mc.stream_for(cfg.seed, kind, port, setting, i, r)
+                                .generator()
+                                .poisson(lam)
+                            )
+                            for r in range(repeats)
+                        )
+                    )
+    assert [rec.counts for rec in raw] == want_raw
+    assert [rec.counts for rec in bg] == want_bg
+
+
+def test_window_indices_beyond_the_stream_id_layout_raise_before_any_draw(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("started work before rejecting the window count")
+
+    monkeypatch.setattr(mc, "_keyed_poisson", no_work)
+    monkeypatch.setattr(itf, "joint_probabilities", no_work)
+    limit = 1 << 20
+    cfg = make_config(phase_grid=itf.PhaseGrid(steps=limit + 1))
+    with pytest.raises(ValueError, match="phase_index out of range"):
+        mc.mc_protocol(cfg)
+    with pytest.raises(ValueError, match="repeat out of range"):
+        mc.mc_protocol(make_config(), repeats=limit + 1)
+    with pytest.raises(ValueError, match="repeat out of range"):
+        mc.simulate_background_table(make_config(), repeats=limit + 1)
+
+
+def test_mc_protocol_dark_only_channel():
+    # with the probe off nothing reaches H: the channel sees pure dark counts
+    cfg = make_config(theta0=0.0)
+    _, raw, _ = mc.mc_protocol(cfg)
+    for port in itf.PORTS:
+        counts = [
+            rec.counts
+            for rec in raw
+            if (rec.run_kind, rec.port, rec.pol_setting) == ("interference", port, "H")
+        ]
+        lam = cfg.dark_rate(port) * cfg.duration
+        assert abs(sum(counts) / len(counts) - lam) < 5 * math.sqrt(lam / len(counts))
+
+
+def test_mc_protocol_blocked_kinds_track_model():
+    # run kinds name the open path: "path1" counts follow the path2-blocked model
+    cfg = make_config(seed=14)
+    _, raw, _ = mc.mc_protocol(cfg)
+    phases = cfg.phase_grid.phases_deg()
+    columns = [(port, setting) for port in itf.PORTS for setting in mc.POL_SETTINGS]
+    for kind, blocked in (("path1", "path2"), ("path2", "path1")):
+        joint = itf.joint_probabilities(cfg, phases, blocked)
+        records = [rec for rec in raw if rec.run_kind == kind]
+        assert len(records) == 4 * len(phases)
+        for rec in records:
+            p = joint[phases.index(rec.phase_deg), columns.index((rec.port, rec.pol_setting))]
+            lam = (cfg.photon_rate * p + cfg.dark_rate(rec.port)) * cfg.duration
+            assert abs(rec.counts - lam) < 6 * math.sqrt(lam)
 
 
 def test_count_record_validation():
@@ -194,16 +273,6 @@ def test_estimate_probabilities_error_propagation():
     total = 10000.0
     want = math.sqrt((9800.0**2 * 9.0 + 200.0**2 * 121.0) / total**4)
     assert abs(sigma - want) < 1e-15
-
-
-def test_signal_to_noise_values():
-    assert abs(mc.signal_to_noise(110000.0, 400.0) - 16.5) < 0.1
-    assert abs(mc.signal_to_noise(110000.0, 800.0) - 11.7) < 0.05
-    assert mc.signal_to_noise(0.0, 400.0) == 0.0
-    with pytest.raises(ValueError):
-        mc.signal_to_noise(-1.0, 400.0)
-    with pytest.raises(ValueError):
-        mc.signal_to_noise(100.0, 0.0)
 
 
 # ----------------------------------------------------------------- protocol
@@ -319,6 +388,32 @@ def test_mc_protocol_bootstrap_sigmas():
     assert 0.7 < med < 1.3
     with pytest.raises(ValueError):
         mc.mc_protocol(cfg, bootstrap_replicates=-1)
+
+
+def test_mc_protocol_rejects_bootstrap_means_beyond_numpy():
+    # the bootstrap redraws counts summed over repeats: 3 x 4.6e18 overflows numpy
+    cfg = itf.ExperimentConfig(
+        photon_rate=4.6e16, duration=100.0, phase_grid=itf.PhaseGrid(steps=2)
+    )
+    mc.mc_protocol(cfg, repeats=3)
+    mc.mc_protocol(cfg, repeats=1, bootstrap_replicates=2)
+    with pytest.raises(ValueError, match=r"repeats = 3: .* 1\.38e\+19 exceeds"):
+        mc.mc_protocol(cfg, repeats=3, bootstrap_replicates=2)
+
+
+def test_mc_protocol_rejects_background_rows_beyond_numpy(monkeypatch):
+    cfg = make_config()
+    table = tuple(
+        dataclasses.replace(rec, counts=10**20, duration=1.0)
+        for rec in mc.simulate_background_table(cfg)
+    )
+
+    def no_draw(*args):
+        raise AssertionError("drew before rejecting the table")
+
+    monkeypatch.setattr(mc, "_keyed_poisson", no_draw)
+    with pytest.raises(ValueError, match=r"row \('interference', '\+', 'H'\): .* 1e\+22"):
+        mc.mc_protocol(cfg, background_table=table)
 
 
 def test_mc_sweep_matches_protocol():
