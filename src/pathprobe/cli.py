@@ -337,12 +337,7 @@ def cmd_subtract(args) -> int:
         return _print_config(doc)
     raw_records = datasets.read_counts_csv(args.raw)
     background_records = datasets.read_background_csv(args.background)
-    index = {}
-    for record in background_records:
-        key = (record.run_kind, record.port, record.pol_setting)
-        if key in index:
-            raise ConfigError(f"duplicate background row for {key!r}")
-        index[key] = record
+    index = montecarlo._background_index(background_records, accept_shared=True)
     corrected = []
     for raw in raw_records:
         background = index.get((raw.run_kind, raw.port, raw.pol_setting))

@@ -16,6 +16,13 @@ the config seed and the channel coordinates, so results are reproducible
 and independent of evaluation order.  One bit generator is re-keyed per
 window (``_keyed_poisson``) instead of constructing a generator per window;
 the keys and the draws are those of ``RandomStream.generator``.
+
+The bootstrap draws from one stream of its own, one ``poisson`` call per
+replicate over every observed count: channels in ``_CHANNELS`` order (kind,
+then port, then setting), each channel's background count and then its raw
+counts at phases 0 ... n-1.  The background is drawn once per channel and
+shared by its phases, as one measured background row is in the real
+subtraction.
 """
 
 from __future__ import annotations
@@ -220,11 +227,6 @@ def subtract_background(raw: CountRecord, background: CountRecord) -> CorrectedR
     )
 
 
-def estimate_probabilities(h_rate: CorrectedRate, v_rate: CorrectedRate) -> tuple[float, float]:
-    """(p, sigma) for p = rate_H / (rate_H + rate_V) from corrected rates."""
-    return _ratio_probability(h_rate.rate, h_rate.sigma**2, v_rate.rate, v_rate.sigma**2)
-
-
 def _ratio_probability(num_rate, num_var, den_rate, den_var):
     total = num_rate + den_rate
     if total <= 0.0:
@@ -268,10 +270,13 @@ def _check_poisson_means(config, repeats, bootstrap_replicates, table_index):
         )
 
 
-def _background_index(table):
+def _background_index(table, accept_shared=False):
+    """Background rows keyed by (run kind, port, setting).  A replayed table
+    needs a row per run kind; rows shared by every kind, with run kind
+    "background", are accepted only with ``accept_shared``."""
     index = {}
     for record in table:
-        if record.run_kind == "background":
+        if record.run_kind == "background" and not accept_shared:
             raise ValueError("table rows must name their run kind, not 'background'")
         key = (record.run_kind, record.port, record.pol_setting)
         if key in index:
@@ -280,101 +285,83 @@ def _background_index(table):
     return index
 
 
-def _pooled_channel_rate(corrected, kind, port, setting, n_phases):
-    """Phase-averaged corrected rate of one blocked channel.
+def _corrected_rates(counts, duration, bg_durations):
+    """Rates and sigmas of the raw windows of ``counts``, one row per channel
+    in ``_CHANNELS`` order, each [background, raw phase 0 ... n-1].  The float
+    operations are those of ``subtract_background``, with durations squared
+    as Python floats, so each entry equals that of its record."""
+    raw = counts[:, 1:]
+    bg = counts[:, :1]
+    bg_duration = np.array(bg_durations)[:, None]
+    bg_duration_sq = np.array([d**2 for d in bg_durations])[:, None]
+    rates = raw / duration - bg / bg_duration
+    sigmas = np.sqrt(raw / duration**2 + bg / bg_duration_sq)
+    return rates, sigmas
 
+
+# _CHANNELS index of the H channel of each reference pool; its V channel follows it
+_POOLS = tuple(
+    (_CHANNELS.index((kind, port, "H")), kind, port)
+    for kind in ("path1", "path2")
+    for port in interferometer.PORTS
+)
+
+
+def _pipeline_estimates(counts, rates, sigmas, durations, phases):
+    """Reference pool plus per-phase estimates of one counting run.
+
+    Per channel in ``_CHANNELS`` order, ``counts`` holds the int counts
+    [background, raw phase 0 ... n-1] and ``rates`` and ``sigmas`` the
+    corrected rate and sigma of each raw window, as Python numbers.
+    ``durations`` is (raw duration summed over the phases, background
+    duration per channel).  Returns (reference, reference_sigma, rows) where
+    each row is (p_plus, s_p, p_h_plus, s_h_plus, p_h_minus, s_h_minus).
+
+    The reference averages one flip estimate per blocked (kind, port).
     Blocked-run rates carry no phase dependence, so the raw counts pool
     across the grid; the background record is shared by every phase of the
     channel and therefore enters the pooled rate (and its variance) once.
+    The four pooled estimates use disjoint counts, so their errors add in
+    quadrature.  A total corrected rate that is not positive raises
+    ``ValueError`` naming the estimate, run kind, port(s) and phase.
     """
-    entries = [corrected[(kind, port, setting, i)] for i in range(n_phases)]
-    raw_total = sum(e._raw_counts for e in entries)
-    raw_duration = sum(e._raw_duration for e in entries)
-    bg = entries[0]
-    rate = raw_total / raw_duration - bg._bg_counts / bg._bg_duration
-    var = raw_total / raw_duration**2 + bg._bg_counts / bg._bg_duration**2
-    return rate, var
-
-
-def _pipeline_estimates(corrected, n_phases):
-    """Reference pool plus per-phase estimates from one corrected-rate table.
-
-    Returns (reference, reference_sigma, rows) where each row is
-    (p_plus, s_p, p_h_plus, s_h_plus, p_h_minus, s_h_minus).  The reference
-    averages one phase-pooled flip estimate per blocked channel; the four
-    channel estimates use disjoint counts, so their errors add in
-    quadrature.
-    """
+    pool_duration, bg_durations = durations
     reference_estimates = []
-    for kind in ("path1", "path2"):
-        for port in interferometer.PORTS:
-            h_rate, h_var = _pooled_channel_rate(corrected, kind, port, "H", n_phases)
-            v_rate, v_var = _pooled_channel_rate(corrected, kind, port, "V", n_phases)
-            reference_estimates.append(_ratio_probability(h_rate, h_var, v_rate, v_var))
+    for h, kind, port in _POOLS:
+        pooled = []
+        for c in (h, h + 1):
+            bg = counts[c][0]
+            raw_total = sum(counts[c]) - bg
+            pooled.append(raw_total / pool_duration - bg / bg_durations[c])
+            pooled.append(raw_total / pool_duration**2 + bg / bg_durations[c] ** 2)
+        try:
+            reference_estimates.append(_ratio_probability(*pooled))
+        except ValueError as exc:
+            raise ValueError(
+                f"{exc} in the reference pool of the {kind} run, port {port!r}"
+            ) from None
     reference = sum(p for p, _ in reference_estimates) / len(reference_estimates)
     reference_sigma = math.sqrt(
         sum(s**2 for _, s in reference_estimates)
     ) / len(reference_estimates)
 
     rows = []
-    for i in range(n_phases):
-        plus_h = corrected[("interference", interferometer.PORT_PLUS, "H", i)]
-        plus_v = corrected[("interference", interferometer.PORT_PLUS, "V", i)]
-        minus_h = corrected[("interference", interferometer.PORT_MINUS, "H", i)]
-        minus_v = corrected[("interference", interferometer.PORT_MINUS, "V", i)]
-        p_h_plus, s_h_plus = estimate_probabilities(plus_h, plus_v)
-        p_h_minus, s_h_minus = estimate_probabilities(minus_h, minus_v)
-        p_plus, s_p = _ratio_probability(
-            plus_h.rate + plus_v.rate,
-            plus_h.sigma**2 + plus_v.sigma**2,
-            minus_h.rate + minus_v.rate,
-            minus_h.sigma**2 + minus_v.sigma**2,
-        )
-        rows.append((p_plus, s_p, p_h_plus, s_h_plus, p_h_minus, s_h_minus))
+    # the interference channels (+, H), (+, V), (-, H), (-, V) lead _CHANNELS
+    windows = enumerate(zip(*rates[:4], *sigmas[:4]))
+    try:
+        for i, (hp, vp, hm, vm, s_hp, s_vp, s_hm, s_vm) in windows:
+            estimate = "p(H|+) of the interference run, port '+'"
+            p_h_plus, s_h_plus = _ratio_probability(hp, s_hp**2, vp, s_vp**2)
+            estimate = "p(H|-) of the interference run, port '-'"
+            p_h_minus, s_h_minus = _ratio_probability(hm, s_hm**2, vm, s_vm**2)
+            estimate = "p(+) of the interference run, ports '+' and '-'"
+            p_plus, s_p = _ratio_probability(
+                hp + vp, s_hp**2 + s_vp**2, hm + vm, s_hm**2 + s_vm**2
+            )
+            rows.append((p_plus, s_p, p_h_plus, s_h_plus, p_h_minus, s_h_minus))
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {estimate}, at phase {phases[i]!r} deg (index {i})") from None
     return reference, reference_sigma, rows
-
-
-def _resample_corrected(corrected, gen):
-    """Parametric bootstrap replicate of the whole counting run.
-
-    Raw counts are redrawn per record; each channel's background is redrawn
-    once and shared across its phases, exactly as in the real protocol.
-    """
-    resampled = {}
-    channel_bg = {}
-    for key, rate in sorted(corrected.items()):
-        channel = key[:3]
-        if channel not in channel_bg:
-            channel_bg[channel] = int(gen.poisson(max(rate._bg_counts, 0)))
-        bg_star = channel_bg[channel]
-        raw_star = int(gen.poisson(max(rate._raw_counts, 0)))
-        new_rate = raw_star / rate._raw_duration - bg_star / rate._bg_duration
-        sigma = math.sqrt(
-            raw_star / rate._raw_duration**2 + bg_star / rate._bg_duration**2
-        )
-        resampled[key] = _TracedRate(
-            run_kind=rate.run_kind,
-            port=rate.port,
-            pol_setting=rate.pol_setting,
-            phase_deg=rate.phase_deg,
-            rate=new_rate,
-            sigma=sigma,
-            _raw_counts=raw_star,
-            _raw_duration=rate._raw_duration,
-            _bg_counts=bg_star,
-            _bg_duration=rate._bg_duration,
-        )
-    return resampled
-
-
-@dataclass(frozen=True)
-class _TracedRate(CorrectedRate):
-    """Corrected rate that remembers its raw ingredients for resampling."""
-
-    _raw_counts: int = 0
-    _raw_duration: float = 1.0
-    _bg_counts: int = 0
-    _bg_duration: float = 1.0
 
 
 def mc_protocol(
@@ -421,8 +408,11 @@ def mc_protocol(
         for channel, simulated in zip(_CHANNELS, simulate_background_table(config, repeats))
     )
 
+    duration = config.duration * repeats
     raw_records = []
-    corrected = {}
+    counts = []  # per channel: [background, raw phase 0 ... n-1]
+    rates = []
+    sigmas = []
     for (kind, port, setting), background in zip(_CHANNELS, background_records):
         row = table_index.get((kind, port, setting))
         dark = config.dark_rate(port) if row is None else row.counts / row.duration
@@ -433,39 +423,44 @@ def mc_protocol(
             for joint in model[kind][:, column].tolist()
         ]
         base = stream_for(config.seed, kind, port, setting).stream_id
-        counts = _window_counts(config.seed, base, lams, repeats)
-        for i, phase in enumerate(phases):
+        channel_counts = _window_counts(config.seed, base, lams, repeats)
+        counts.append([background.counts, *channel_counts])
+        rates.append([])
+        sigmas.append([])
+        for phase, observed in zip(phases, channel_counts):
             raw = CountRecord(
                 run_kind=kind,
                 port=port,
                 pol_setting=setting,
                 phase_deg=phase,
-                counts=counts[i],
-                duration=config.duration * repeats,
+                counts=observed,
+                duration=duration,
             )
             raw_records.append(raw)
-            base_rate = subtract_background(raw, background)
-            corrected[(kind, port, setting, i)] = _TracedRate(
-                run_kind=base_rate.run_kind,
-                port=base_rate.port,
-                pol_setting=base_rate.pol_setting,
-                phase_deg=base_rate.phase_deg,
-                rate=base_rate.rate,
-                sigma=base_rate.sigma,
-                _raw_counts=raw.counts,
-                _raw_duration=raw.duration,
-                _bg_counts=background.counts,
-                _bg_duration=background.duration,
-            )
+            corrected = subtract_background(raw, background)
+            rates[-1].append(corrected.rate)
+            sigmas[-1].append(corrected.sigma)
 
-    reference, reference_sigma, rows = _pipeline_estimates(corrected, len(phases))
+    bg_durations = [record.duration for record in background_records]
+    durations = (sum([duration] * len(phases)), bg_durations)
+    reference, reference_sigma, rows = _pipeline_estimates(counts, rates, sigmas, durations, phases)
 
     if bootstrap_replicates > 0:
+        # Each replicate redraws every observed count, background included,
+        # in one call: channels in _CHANNELS order, each [background, phases].
+        means = np.array(counts, dtype=np.float64)
         gen = RandomStream(config.seed, _BOOTSTRAP_STREAM_ID).generator()
         ref_samples = []
         row_samples = []
-        for _ in range(bootstrap_replicates):
-            ref_b, _, rows_b = _pipeline_estimates(_resample_corrected(corrected, gen), len(phases))
+        for replicate in range(bootstrap_replicates):
+            draws = gen.poisson(means)
+            rates_b, sigmas_b = _corrected_rates(draws, duration, bg_durations)
+            try:
+                ref_b, _, rows_b = _pipeline_estimates(
+                    draws.tolist(), rates_b.tolist(), sigmas_b.tolist(), durations, phases
+                )
+            except ValueError as exc:
+                raise ValueError(f"bootstrap replicate {replicate}: {exc}") from None
             ref_samples.append(ref_b)
             row_samples.append(rows_b)
         reference_sigma = float(np.std(ref_samples, ddof=1))

@@ -245,6 +245,19 @@ def test_mc_sweep_background_row_beyond_numpy_names_the_row(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_mc_sweep_non_positive_total_names_port_and_phase(tmp_path, capsys):
+    # theta0 = 0: the H channels count background alone and go negative
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"rotation": {"theta0": 0.0}}))
+    code, _, err = run_cli(
+        capsys, "mc-sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")
+    )
+    assert code == 1
+    assert err.startswith("error: total corrected rate is not positive")
+    assert "p(H|-) of the interference run, port '-', at phase 0.0 deg (index 4)" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_blocked_command(tmp_path, capsys):
     out = tmp_path / "blocked.csv"
     assert run_cli(capsys, "blocked", "--out", str(out))[0] == 0
@@ -365,6 +378,39 @@ def test_subtract_missing_background_row(tmp_path, capsys):
     )
     assert code == 1
     assert "background" in err
+
+
+def test_subtract_falls_back_to_shared_background_rows(tmp_path, capsys):
+    from pathprobe import montecarlo as mc
+
+    counts = tmp_path / "counts.csv"
+    bg = tmp_path / "bg.csv"
+    out = tmp_path / "corrected.csv"
+    raw = (
+        mc.CountRecord("interference", "+", "H", 0.0, 1234, 100.0),
+        mc.CountRecord("path1", "+", "H", 0.0, 999, 100.0),
+    )
+    table = (
+        mc.CountRecord("background", "+", "H", 0.0, 200, 50.0),
+        mc.CountRecord("path1", "+", "H", 0.0, 300, 100.0),
+    )
+    datasets.write_counts_csv(counts, raw)
+    datasets.write_background_csv(bg, table)
+    code, _, err = run_cli(
+        capsys, "subtract", "--raw", str(counts), "--background", str(bg), "--out", str(out)
+    )
+    assert code == 0, err
+    # a row of the raw run kind wins over the shared row
+    assert datasets.read_corrected_csv(out) == (
+        mc.subtract_background(raw[0], table[0]),
+        mc.subtract_background(raw[1], table[1]),
+    )
+    datasets.write_background_csv(bg, table + table[:1])
+    code, _, err = run_cli(
+        capsys, "subtract", "--raw", str(counts), "--background", str(bg), "--out", str(out)
+    )
+    assert code == 1
+    assert "duplicate background row for ('background', '+', 'H')" in err
 
 
 def test_figures_command(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
+from pathprobe import cli
 from pathprobe import interferometer as itf
 from pathprobe import montecarlo as mc
 from pathprobe.optics import (
@@ -251,28 +253,53 @@ def test_subtract_background_mismatches():
         mc.subtract_background(bg, bg)
 
 
-def test_estimate_probabilities():
-    h = mc.CorrectedRate("interference", "+", "H", 0.0, 150.0, 0.0)
-    v = mc.CorrectedRate("interference", "+", "V", 0.0, 9850.0, 0.0)
-    p, sigma = mc.estimate_probabilities(h, v)
+def test_ratio_probability():
+    p, sigma = mc._ratio_probability(150.0, 0.0, 9850.0, 0.0)
     assert abs(p - 0.015) < 1e-12
     assert sigma == 0.0
-    h2 = mc.CorrectedRate("interference", "+", "H", 0.0, 0.0, 1.0)
-    p2, sigma2 = mc.estimate_probabilities(h2, v)
+    p2, sigma2 = mc._ratio_probability(0.0, 1.0, 9850.0, 0.0)
     assert p2 == 0.0
     assert sigma2 > 0.0
-    bad = mc.CorrectedRate("interference", "+", "V", 0.0, -9851.0, 1.0)
-    with pytest.raises(ValueError):
-        mc.estimate_probabilities(h, bad)
+    with pytest.raises(ValueError, match="total corrected rate is not positive"):
+        mc._ratio_probability(150.0, 0.0, -9851.0, 1.0)
 
 
-def test_estimate_probabilities_error_propagation():
-    h = mc.CorrectedRate("interference", "+", "H", 0.0, 200.0, 3.0)
-    v = mc.CorrectedRate("interference", "+", "V", 0.0, 9800.0, 11.0)
-    p, sigma = mc.estimate_probabilities(h, v)
+def test_ratio_probability_error_propagation():
+    p, sigma = mc._ratio_probability(200.0, 3.0**2, 9800.0, 11.0**2)
     total = 10000.0
     want = math.sqrt((9800.0**2 * 9.0 + 200.0**2 * 121.0) / total**4)
     assert abs(sigma - want) < 1e-15
+
+
+def test_corrected_rates_match_subtract_background():
+    cfg = make_config(seed=21)
+    _, raw, bg = mc.mc_protocol(cfg, repeats=3)
+    n = cfg.phase_grid.steps
+    counts = [[b.counts] + [r.counts for r in raw[c * n : (c + 1) * n]] for c, b in enumerate(bg)]
+    rates, sigmas = mc._corrected_rates(
+        np.array(counts, dtype=np.float64), raw[0].duration, [b.duration for b in bg]
+    )
+    rates, sigmas = rates.tolist(), sigmas.tolist()
+    assert len(raw) == 492
+    for j, record in enumerate(raw):
+        c, i = divmod(j, n)
+        assert (bg[c].run_kind, bg[c].port, bg[c].pol_setting) == (
+            record.run_kind, record.port, record.pol_setting
+        )
+        want = mc.subtract_background(record, bg[c])
+        assert (rates[c][i], sigmas[c][i]) == (want.rate, want.sigma)
+
+
+def test_background_index_shared_rows():
+    table = mc.simulate_background_table(make_config())
+    shared = dataclasses.replace(table[0], run_kind="background")
+    with pytest.raises(ValueError, match="table rows must name their run kind, not 'background'"):
+        mc._background_index(table[1:] + (shared,))
+    index = mc._background_index(table[1:] + (shared,), accept_shared=True)
+    assert index[("background", "+", "H")] is shared
+    for accept_shared in (False, True):
+        with pytest.raises(ValueError, match="duplicate background row"):
+            mc._background_index(table + table[:1], accept_shared=accept_shared)
 
 
 # ----------------------------------------------------------------- protocol
@@ -419,3 +446,187 @@ def test_mc_protocol_rejects_background_rows_beyond_numpy(monkeypatch):
 def test_mc_sweep_matches_protocol():
     cfg = make_config(seed=6)
     assert mc.mc_sweep(cfg) == mc.mc_protocol(cfg)[0]
+
+
+# ------------------------------------------------------- scalar reference
+
+
+def _reference_ratio(num, num_var, den, den_var):
+    total = num + den
+    assert total > 0.0
+    return num / total, math.sqrt((den**2 * num_var + num**2 * den_var) / total**4)
+
+
+def _reference_estimates(cfg, raw_counts, raw_duration, bg_counts, bg_durations):
+    """Scalar estimates from counts keyed (kind, port, setting, phase index)
+    and (kind, port, setting), with ``subtract_background``'s arithmetic."""
+    n = cfg.phase_grid.steps
+    corrected = {}
+    for key, counts in raw_counts.items():
+        channel = key[:3]
+        bg, bg_duration = bg_counts[channel], bg_durations[channel]
+        corrected[key] = (
+            counts / raw_duration - bg / bg_duration,
+            math.sqrt(counts / raw_duration**2 + bg / bg_duration**2),
+        )
+    pooled = []
+    for kind in ("path1", "path2"):
+        for port in itf.PORTS:
+            terms = []
+            for setting in ("H", "V"):
+                total = sum(raw_counts[(kind, port, setting, i)] for i in range(n))
+                duration = sum(raw_duration for _ in range(n))
+                bg, bg_duration = bg_counts[(kind, port, setting)], bg_durations[(kind, port, setting)]
+                terms.append(total / duration - bg / bg_duration)
+                terms.append(total / duration**2 + bg / bg_duration**2)
+            pooled.append(_reference_ratio(*terms))
+    reference = sum(p for p, _ in pooled) / 4
+    reference_sigma = math.sqrt(sum(s**2 for _, s in pooled)) / 4
+    rows = []
+    for i in range(n):
+        (hp, s_hp), (vp, s_vp), (hm, s_hm), (vm, s_vm) = (
+            corrected[("interference", port, setting, i)]
+            for port in itf.PORTS
+            for setting in ("H", "V")
+        )
+        p_h_plus, s_h_plus = _reference_ratio(hp, s_hp**2, vp, s_vp**2)
+        p_h_minus, s_h_minus = _reference_ratio(hm, s_hm**2, vm, s_vm**2)
+        p_plus, s_p = _reference_ratio(hp + vp, s_hp**2 + s_vp**2, hm + vm, s_hm**2 + s_vm**2)
+        rows.append((p_plus, s_p, p_h_plus, s_h_plus, p_h_minus, s_h_minus))
+    return reference, reference_sigma, rows
+
+
+def _reference_records(cfg, raw, bg, replicates):
+    """``mc_protocol``'s records rebuilt from its observed counts, one scalar
+    ``poisson`` call per window in sorted (kind, port, setting, phase index)
+    order, each channel's background drawn before its first phase."""
+    phases = cfg.phase_grid.phases_deg()
+    raw_counts = {(r.run_kind, r.port, r.pol_setting, phases.index(r.phase_deg)): r.counts for r in raw}
+    bg_counts = {(r.run_kind, r.port, r.pol_setting): r.counts for r in bg}
+    bg_durations = {(r.run_kind, r.port, r.pol_setting): r.duration for r in bg}
+    raw_duration = raw[0].duration
+    reference, reference_sigma, rows = _reference_estimates(
+        cfg, raw_counts, raw_duration, bg_counts, bg_durations
+    )
+    if replicates:
+        gen = mc.RandomStream(cfg.seed, mc._BOOTSTRAP_STREAM_ID).generator()
+        refs, samples = [], []
+        for _ in range(replicates):
+            raw_star, bg_star = {}, {}
+            for key in sorted(raw_counts):
+                if key[:3] not in bg_star:
+                    bg_star[key[:3]] = int(gen.poisson(bg_counts[key[:3]]))
+                raw_star[key] = int(gen.poisson(raw_counts[key]))
+            ref_b, _, rows_b = _reference_estimates(cfg, raw_star, raw_duration, bg_star, bg_durations)
+            refs.append(ref_b)
+            samples.append(rows_b)
+        reference_sigma = float(np.std(refs, ddof=1))
+        values = np.asarray(samples)
+        s_boot = [np.std(values[:, :, k], axis=0, ddof=1).tolist() for k in (0, 2, 4)]
+        rows = [
+            (row[0], s_boot[0][i], row[2], s_boot[1][i], row[4], s_boot[2][i])
+            for i, row in enumerate(rows)
+        ]
+    records = []
+    for phase, (p_plus, s_p, p_h_plus, s_h_plus, p_h_minus, s_h_minus) in zip(phases, rows):
+        records.append(
+            itf.DelocalizationRecord(
+                phase_deg=phase,
+                p_plus=p_plus,
+                p_minus=1.0 - p_plus,
+                p_h_given_plus=p_h_plus,
+                p_h_given_minus=p_h_minus,
+                a2_plus=p_h_plus / reference,
+                a2_minus=p_h_minus / reference,
+                sigma_p_plus=s_p,
+                sigma_p_minus=s_p,
+                sigma_ph_plus=s_h_plus,
+                sigma_ph_minus=s_h_minus,
+                sigma_a2_plus=math.sqrt(
+                    (s_h_plus / reference) ** 2 + (p_h_plus * reference_sigma / reference**2) ** 2
+                ),
+                sigma_a2_minus=math.sqrt(
+                    (s_h_minus / reference) ** 2 + (p_h_minus * reference_sigma / reference**2) ** 2
+                ),
+            )
+        )
+    return itf.SweepResult(
+        records=tuple(records), reference_flip_prob=reference, reference_sigma=reference_sigma
+    )
+
+
+def test_mc_protocol_bootstrap_matches_scalar_reference():
+    cfg = make_config(seed=(1 << 63) + 3, phase_grid=itf.PhaseGrid(steps=5))
+    table = mc.simulate_background_table(make_config(seed=77), repeats=2)
+    result, raw, bg = mc.mc_protocol(cfg, repeats=3, background_table=table, bootstrap_replicates=7)
+    assert bg == table
+    assert result == _reference_records(cfg, raw, bg, 7)
+
+
+def test_mc_protocol_counts_beyond_int64_match_scalar_reference():
+    cfg = itf.ExperimentConfig(
+        photon_rate=4.6e16, duration=100.0, phase_grid=itf.PhaseGrid(steps=2)
+    )
+    result, raw, bg = mc.mc_protocol(cfg, repeats=3)
+    assert max(r.counts for r in raw) > 1 << 63
+    assert result == _reference_records(cfg, raw, bg, 0)
+
+
+# ------------------------------------------------- non-positive totals
+
+
+@pytest.mark.parametrize(
+    "seed, replicates, message",
+    [
+        (
+            1,
+            0,
+            "total corrected rate is not positive: -9.279999999999973 in p(H|-) of the"
+            " interference run, port '-', at phase 0.0 deg (index 4)",
+        ),
+        (
+            3,
+            0,
+            "total corrected rate is not positive: -4.009999999999991 in p(H|+) of the"
+            " interference run, port '+', at phase 180.0 deg (index 36)",
+        ),
+        (
+            2,
+            5,
+            "bootstrap replicate 0: total corrected rate is not positive: -1.9099999999999682"
+            " in p(H|-) of the interference run, port '-', at phase 0.0 deg (index 4)",
+        ),
+    ],
+    ids=["seed1", "seed3", "seed2-bootstrap"],
+)
+def test_non_positive_total_names_the_estimate(seed, replicates, message):
+    # theta0 = 0 leaves the dark H channels with background alone
+    cfg = itf.ExperimentConfig(seed=seed)
+    with pytest.raises(ValueError) as info:
+        mc.mc_protocol(cfg, bootstrap_replicates=replicates)
+    assert str(info.value) == message
+
+
+def test_non_positive_reference_pool_is_reported_first():
+    # every total is negative: the reference pools come before the phases
+    counts = [[100, 1]] * 12
+    rates = sigmas = [[-99.0]] * 12
+    with pytest.raises(ValueError) as info:
+        mc._pipeline_estimates(counts, rates, sigmas, (1.0, [1.0] * 12), (0.0,))
+    assert str(info.value) == (
+        "total corrected rate is not positive: -198.0 in the reference pool of the path1 run,"
+        " port '+'"
+    )
+
+
+def test_bootstrap_wall_time():
+    # 200 replicates on the preset take about 25-50 ms; 0.2 s leaves room
+    # for a slow shared host
+    cfg = cli.parse_config("paper")
+    mc.mc_protocol(cfg, bootstrap_replicates=200)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        mc.mc_protocol(cfg, bootstrap_replicates=200)
+        times.append(time.perf_counter() - start)
+    assert min(times) <= 0.2
