@@ -15,31 +15,24 @@ file.  Reports are JSON on stdout unless ``--out`` is given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
 from . import analysis, datasets, interferometer, montecarlo
-from .interferometer import ExperimentConfig, PhaseGrid
-from .optics import BeamSplitterSpec, DephasingSpec, RetarderSpec, RotationSpec
+from .interferometer import ExperimentConfig
+from .optics import RotationSpec
 
 PRESET_NAME = "paper"
 
+# The CLI defaults to a probe rotation of 0.1225 rad: the library default
+# of 0 gives a zero reference flip rate, which leaves every a2 undefined.
 DEFAULT_DOCUMENT = {
-    "rotation": {"theta0": 0.1225},
-    "beamsplitter": {"reflectivity_h": 0.5, "reflectivity_v": 0.5},
-    "retarder": {"phi_hv_path1": 0.0, "phi_hv_path2": 0.0},
-    "dephasing": {"v_d": 1.0},
-    "gt_compensation_plus": 0.0,
-    "gt_compensation_minus": 0.0,
-    "photon_rate": 110000.0,
-    "dark_rate_plus": 400.0,
-    "dark_rate_minus": 800.0,
-    "duration": 100.0,
-    "phase_grid": {"start_deg": -22.5, "stop_deg": 202.5, "steps": 41},
-    "seed": 1,
+    **dataclasses.asdict(ExperimentConfig(rotation=RotationSpec(theta0=0.1225))),
     "background_table": None,
     "out": None,
 }
@@ -88,41 +81,28 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _build(cls, doc: dict, prefix: str = ""):
+    """``cls`` from its fields in ``doc``, recursing into nested specs."""
+    values = {}
+    for name, kind in typing.get_type_hints(cls).items():
+        key = f"{prefix}{name}"
+        if dataclasses.is_dataclass(kind):
+            values[name] = _build(kind, doc[name], f"{key}.")
+        elif kind is int:
+            values[name] = _integer(key, doc[name])
+        else:
+            values[name] = _number(key, doc[name])
+    return cls(**values)
+
+
 def build_config(doc: dict) -> ExperimentConfig:
     """Validated ``ExperimentConfig`` from a complete config document."""
+    for key in ("background_table", "out"):
+        value = doc.get(key)
+        if not (value is None or isinstance(value, str)):
+            raise ConfigError(f"config key {key} must be a string or null, got {value!r}")
     try:
-        return ExperimentConfig(
-            rotation=RotationSpec(theta0=_number("rotation.theta0", doc["rotation"]["theta0"])),
-            beamsplitter=BeamSplitterSpec(
-                reflectivity_h=_number(
-                    "beamsplitter.reflectivity_h", doc["beamsplitter"]["reflectivity_h"]
-                ),
-                reflectivity_v=_number(
-                    "beamsplitter.reflectivity_v", doc["beamsplitter"]["reflectivity_v"]
-                ),
-            ),
-            retarder=RetarderSpec(
-                phi_hv_path1=_number("retarder.phi_hv_path1", doc["retarder"]["phi_hv_path1"]),
-                phi_hv_path2=_number("retarder.phi_hv_path2", doc["retarder"]["phi_hv_path2"]),
-            ),
-            dephasing=DephasingSpec(v_d=_number("dephasing.v_d", doc["dephasing"]["v_d"])),
-            gt_compensation_plus=_number(
-                "gt_compensation_plus", doc["gt_compensation_plus"]
-            ),
-            gt_compensation_minus=_number(
-                "gt_compensation_minus", doc["gt_compensation_minus"]
-            ),
-            photon_rate=_number("photon_rate", doc["photon_rate"]),
-            dark_rate_plus=_number("dark_rate_plus", doc["dark_rate_plus"]),
-            dark_rate_minus=_number("dark_rate_minus", doc["dark_rate_minus"]),
-            duration=_number("duration", doc["duration"]),
-            phase_grid=PhaseGrid(
-                start_deg=_number("phase_grid.start_deg", doc["phase_grid"]["start_deg"]),
-                stop_deg=_number("phase_grid.stop_deg", doc["phase_grid"]["stop_deg"]),
-                steps=_integer("phase_grid.steps", doc["phase_grid"]["steps"]),
-            ),
-            seed=_integer("seed", doc["seed"]),
-        )
+        return _build(ExperimentConfig, doc)
     except ConfigError:
         raise
     except ValueError as exc:

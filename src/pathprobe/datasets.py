@@ -1,10 +1,12 @@
 """CSV reading and writing for sweep, counting and figure data.
 
 Column layouts are part of the external contract and are validated
-verbatim on read.  Optional cells (undefined conditionals) are written as
-empty fields.  Floats are written with repr so that a read-back returns
-bit-identical values.  All writers are atomic: the file appears complete
-or not at all.
+verbatim on read.  Each column is the record field of the same name, in
+field order, except ``duration_s``, which holds ``duration``; background
+rows omit ``phase_deg``, which reads back as 0.  Optional cells
+(undefined conditionals) are written as empty fields.  Floats are written
+with repr so that a read-back returns bit-identical values.  All writers
+are atomic: the file appears complete or not at all.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import starmap
+from operator import attrgetter
 
 from .interferometer import DelocalizationRecord, SweepResult
 from .montecarlo import CorrectedRate, CountRecord
@@ -137,157 +141,65 @@ def _float_cell(cell: str):
     return None if cell == "" else float(cell)
 
 
-def _int_cell(cell: str) -> int:
-    return int(cell)
+# Cell parser per column name; any other column is a float.
+_PARSERS = {"run_kind": str, "port": str, "pol_setting": str, "counts": int, "open_path": int}
+
+
+def _attributes(header) -> tuple:
+    return tuple("duration" if name == "duration_s" else name for name in header)
+
+
+def _write_records(path, header, records) -> None:
+    _write_table(path, header, map(attrgetter(*_attributes(header)), records))
+
+
+def _parsed_rows(path, header, parse_cell=float):
+    columns = zip(header, zip(*_read_table(path, header)))
+    return zip(*[map(_PARSERS.get(name, parse_cell), cells) for name, cells in columns])
 
 
 def write_sweep_csv(path, sweep_result: SweepResult) -> None:
-    rows = []
-    for r in sweep_result.records:
-        rows.append(
-            (
-                r.phase_deg,
-                r.p_plus,
-                r.p_minus,
-                r.p_h_given_plus,
-                r.p_h_given_minus,
-                r.a2_plus,
-                r.a2_minus,
-                r.sigma_p_plus,
-                r.sigma_p_minus,
-                r.sigma_ph_plus,
-                r.sigma_ph_minus,
-                r.sigma_a2_plus,
-                r.sigma_a2_minus,
-            )
-        )
-    _write_table(path, SWEEP_HEADER, rows)
+    _write_records(path, SWEEP_HEADER, sweep_result.records)
 
 
 def read_sweep_csv(path) -> tuple:
     """Sweep rows as ``DelocalizationRecord`` objects (reference not stored)."""
-    records = []
-    for row in _read_table(path, SWEEP_HEADER):
-        values = [_float_cell(cell) for cell in row]
-        records.append(
-            DelocalizationRecord(
-                phase_deg=values[0],
-                p_plus=values[1],
-                p_minus=values[2],
-                p_h_given_plus=values[3],
-                p_h_given_minus=values[4],
-                a2_plus=values[5],
-                a2_minus=values[6],
-                sigma_p_plus=values[7],
-                sigma_p_minus=values[8],
-                sigma_ph_plus=values[9],
-                sigma_ph_minus=values[10],
-                sigma_a2_plus=values[11],
-                sigma_a2_minus=values[12],
-            )
-        )
-    return tuple(records)
+    return tuple(starmap(DelocalizationRecord, _parsed_rows(path, SWEEP_HEADER, _float_cell)))
 
 
 def write_background_csv(path, records) -> None:
-    rows = [(r.run_kind, r.port, r.pol_setting, r.counts, r.duration) for r in records]
-    _write_table(path, BACKGROUND_HEADER, rows)
+    _write_records(path, BACKGROUND_HEADER, records)
 
 
 def read_background_csv(path) -> tuple:
     """Background rows as ``CountRecord`` objects (phase fixed at 0)."""
-    records = []
-    for row in _read_table(path, BACKGROUND_HEADER):
-        records.append(
-            CountRecord(
-                run_kind=row[0],
-                port=row[1],
-                pol_setting=row[2],
-                phase_deg=0.0,
-                counts=_int_cell(row[3]),
-                duration=float(row[4]),
-            )
-        )
-    return tuple(records)
+    return tuple(
+        CountRecord(*row[:3], 0.0, *row[3:]) for row in _parsed_rows(path, BACKGROUND_HEADER)
+    )
 
 
 def write_counts_csv(path, records) -> None:
-    rows = [
-        (r.run_kind, r.port, r.pol_setting, r.phase_deg, r.counts, r.duration) for r in records
-    ]
-    _write_table(path, COUNTS_HEADER, rows)
+    _write_records(path, COUNTS_HEADER, records)
 
 
 def read_counts_csv(path) -> tuple:
-    records = []
-    for row in _read_table(path, COUNTS_HEADER):
-        records.append(
-            CountRecord(
-                run_kind=row[0],
-                port=row[1],
-                pol_setting=row[2],
-                phase_deg=float(row[3]),
-                counts=_int_cell(row[4]),
-                duration=float(row[5]),
-            )
-        )
-    return tuple(records)
+    return tuple(starmap(CountRecord, _parsed_rows(path, COUNTS_HEADER)))
 
 
 def write_corrected_csv(path, records) -> None:
-    rows = [
-        (r.run_kind, r.port, r.pol_setting, r.phase_deg, r.rate, r.sigma) for r in records
-    ]
-    _write_table(path, CORRECTED_HEADER, rows)
+    _write_records(path, CORRECTED_HEADER, records)
 
 
 def read_corrected_csv(path) -> tuple:
-    records = []
-    for row in _read_table(path, CORRECTED_HEADER):
-        records.append(
-            CorrectedRate(
-                run_kind=row[0],
-                port=row[1],
-                pol_setting=row[2],
-                phase_deg=float(row[3]),
-                rate=float(row[4]),
-                sigma=float(row[5]),
-            )
-        )
-    return tuple(records)
+    return tuple(starmap(CorrectedRate, _parsed_rows(path, CORRECTED_HEADER)))
 
 
 def write_blocked_csv(path, records) -> None:
-    rows = [
-        (
-            r.phase_deg,
-            r.open_path,
-            r.p_plus,
-            r.p_minus,
-            r.p_h_given_plus,
-            r.p_h_given_minus,
-            r.survival,
-        )
-        for r in records
-    ]
-    _write_table(path, BLOCKED_HEADER, rows)
+    _write_records(path, BLOCKED_HEADER, records)
 
 
 def read_blocked_csv(path) -> tuple:
-    records = []
-    for row in _read_table(path, BLOCKED_HEADER):
-        records.append(
-            BlockedRecord(
-                phase_deg=float(row[0]),
-                open_path=int(row[1]),
-                p_plus=float(row[2]),
-                p_minus=float(row[3]),
-                p_h_given_plus=float(row[4]),
-                p_h_given_minus=float(row[5]),
-                survival=float(row[6]),
-            )
-        )
-    return tuple(records)
+    return tuple(starmap(BlockedRecord, _parsed_rows(path, BLOCKED_HEADER)))
 
 
 def write_figure_csvs(outdir, sweep_result: SweepResult) -> tuple:
@@ -295,21 +207,20 @@ def write_figure_csvs(outdir, sweep_result: SweepResult) -> tuple:
 
     fig4 carries the port split, fig5a/fig5b the conditional flip rates
     against the pooled single-path reference, fig6a/fig6b the normalized
-    delocalization ratios alone.
+    delocalization ratios alone.  A ``reference`` column repeats the
+    sweep's reference flip probability; every other column is the record
+    field of the same name.
     """
     outdir = os.fspath(outdir)
     os.makedirs(outdir, exist_ok=True)
     reference = sweep_result.reference_flip_prob
-    columns = {
-        "fig4.csv": lambda r: (r.phase_deg, r.p_plus, r.p_minus),
-        "fig5a.csv": lambda r: (r.phase_deg, r.p_h_given_minus, reference, r.a2_minus),
-        "fig5b.csv": lambda r: (r.phase_deg, r.p_h_given_plus, reference, r.a2_plus),
-        "fig6a.csv": lambda r: (r.phase_deg, r.p_h_given_minus, r.a2_minus),
-        "fig6b.csv": lambda r: (r.phase_deg, r.p_h_given_plus, r.a2_plus),
-    }
     paths = []
     for name, header in FIGURE_HEADERS.items():
         path = os.path.join(outdir, name)
-        _write_table(path, header, [columns[name](r) for r in sweep_result.records])
+        rows = [
+            [reference if column == "reference" else getattr(r, column) for column in header]
+            for r in sweep_result.records
+        ]
+        _write_table(path, header, rows)
         paths.append(path)
     return tuple(paths)

@@ -373,19 +373,6 @@ def reference_flip_probability(config: ExperimentConfig) -> float:
     return sum(values) / len(values)
 
 
-def a_squared_from_flip(p_h_given: float, reference: float) -> float:
-    """Conditional flip probability over the single-path reference level.
-
-    1 means the flip rate of a fully localized photon; 0 means the probed
-    path carried no weight; values above 1 exceed the localized level.
-    """
-    if not (isinstance(p_h_given, (int, float)) and 0.0 <= p_h_given <= 1.0):
-        raise ValueError(f"p_h_given out of range: {p_h_given!r}")
-    if not (isinstance(reference, (int, float)) and reference > 0.0):
-        raise ValueError(f"reference out of range: {reference!r} (must be > 0)")
-    return p_h_given / reference
-
-
 def normalization_residual(a2_plus: float, p_plus: float, a2_minus: float, p_minus: float) -> float:
     """a2(+)*P(+) + a2(-)*P(-) - 1; zero when the port-weighted ratios close."""
     for name, value in (("p_plus", p_plus), ("p_minus", p_minus)):
@@ -395,11 +382,6 @@ def normalization_residual(a2_plus: float, p_plus: float, a2_minus: float, p_min
         if not (isinstance(value, (int, float)) and value >= 0.0):
             raise ValueError(f"{name} out of range: {value!r}")
     return a2_plus * p_plus + a2_minus * p_minus - 1.0
-
-
-def path_sign_operator() -> np.ndarray:
-    """diag(1, -1) on the path space: +1 for path 1, -1 for path 2."""
-    return np.diag([1.0, -1.0]).astype(complex)
 
 
 def weak_a_squared(path_state, projector) -> float:
@@ -417,7 +399,7 @@ def weak_a_squared(path_state, projector) -> float:
     weight = float(np.trace(e @ rho).real)
     if weight <= 0.0:
         raise UndefinedConditionalError("post-selected outcome has zero probability")
-    s = path_sign_operator()
+    s = np.diag([1.0, -1.0])
     return float(np.trace(e @ s @ rho @ s).real) / weight
 
 

@@ -508,13 +508,3 @@ def mc_protocol(
         reference_sigma=reference_sigma,
     )
     return sweep_result, tuple(raw_records), tuple(background_records)
-
-
-def mc_sweep(
-    config: ExperimentConfig,
-    repeats: int = 1,
-    background_table=None,
-    bootstrap_replicates: int = 0,
-) -> SweepResult:
-    """Counting-statistics sweep; the SweepResult half of ``mc_protocol``."""
-    return mc_protocol(config, repeats, background_table, bootstrap_replicates)[0]

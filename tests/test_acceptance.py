@@ -233,7 +233,7 @@ def test_acceptance_6_monte_carlo_fidelity():
     worst = 0.0
     for seed in range(100):
         config = dataclasses.replace(base, seed=seed)
-        result = mc.mc_sweep(config)
+        result = mc.mc_protocol(config)[0]
         for est, truth in zip(result.records, exact.records):
             for field, sig in (
                 ("p_plus", "sigma_p_plus"),

@@ -94,6 +94,27 @@ def test_parse_config_malformed_inputs(tmp_path):
         cli.parse_config(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"phase_grid": {"steps": 4.0}}, "config key phase_grid.steps must be an integer, got 4.0"),
+        ({"seed": True}, "config key seed must be an integer, got True"),
+        ({"seed": 2.0}, "config key seed must be an integer, got 2.0"),
+        ({"rotation": {"theta0": "x"}}, "config key rotation.theta0 must be a number, got 'x'"),
+        ({"rotation": {"theta0": {}}}, "config key rotation.theta0 must be a number, got {}"),
+        ({"rotation": 5}, "config key rotation must be an object"),
+        ({"out": 5}, "config key out must be a string or null, got 5"),
+        ({"background_table": 0}, "config key background_table must be a string or null, got 0"),
+    ],
+)
+def test_parse_config_type_errors(tmp_path, doc, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cli.ConfigError) as exc:
+        cli.parse_config(str(path))
+    assert str(exc.value) == message
+
+
 # ------------------------------------------------------------------ plumbing
 
 
@@ -104,6 +125,60 @@ def test_print_config_is_json(capsys):
     assert doc["beamsplitter"]["reflectivity_h"] == 0.5285
     assert doc["phase_grid"]["steps"] == 41
     assert doc["photon_rate"] == 110000.0
+
+
+def _full_document(theta0, reflectivity, v_d):
+    return {
+        "rotation": {"theta0": theta0},
+        "beamsplitter": {"reflectivity_h": reflectivity, "reflectivity_v": reflectivity},
+        "retarder": {"phi_hv_path1": 0.0, "phi_hv_path2": 0.0},
+        "dephasing": {"v_d": v_d},
+        "gt_compensation_plus": 0.0,
+        "gt_compensation_minus": 0.0,
+        "photon_rate": 110000.0,
+        "dark_rate_plus": 400.0,
+        "dark_rate_minus": 800.0,
+        "duration": 100.0,
+        "phase_grid": {"start_deg": -22.5, "stop_deg": 202.5, "steps": 41},
+        "seed": 1,
+        "background_table": None,
+        "out": None,
+    }
+
+
+@pytest.mark.parametrize(
+    "user,document",
+    [
+        (None, _full_document(0.124010777984739, 0.5285, 0.9997702900867688)),
+        ({}, _full_document(0.1225, 0.5, 1.0)),
+    ],
+    ids=["paper", "empty"],
+)
+def test_print_config_bytes(tmp_path, capsys, user, document):
+    # key order, number formatting and defaults of the resolved document
+    config = "paper"
+    if user is not None:
+        config = str(tmp_path / "cfg.json")
+        (tmp_path / "cfg.json").write_text(json.dumps(user))
+    code, out, err = run_cli(capsys, "sweep", "--config", config, "--print-config")
+    assert code == 0, err
+    assert out == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [({"out": 5}, "out"), ({"background_table": 0}, "background_table"),
+     ({"background_table": 7}, "background_table"), ({"out": ["x.csv"]}, "out")],
+)
+def test_path_keys_must_be_strings(tmp_path, capsys, doc, key):
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    argv = ["mc-sweep", "--config", str(tmp_path / "cfg.json")]
+    if key != "out":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: config key {key} must be a string or null")
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_seed_override_changes_counts(tmp_path, capsys):

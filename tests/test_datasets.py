@@ -1,11 +1,16 @@
 """Tests for CSV/JSON persistence."""
 
+import csv
+import dataclasses
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathprobe import datasets
 from pathprobe import interferometer as itf
@@ -18,6 +23,8 @@ from pathprobe.optics import (
 )
 
 THETA0 = math.asin(math.sqrt(0.0153))
+
+ROUNDTRIP = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
 def make_config(seed=1):
@@ -58,6 +65,132 @@ def test_header_contracts():
     assert set(datasets.FIGURE_HEADERS) == {
         "fig4.csv", "fig5a.csv", "fig5b.csv", "fig6a.csv", "fig6b.csv",
     }
+
+
+def _names(cls):
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+def test_headers_follow_record_fields():
+    # readers build records positionally, so each header is its record's
+    # field order; only duration_s is renamed, and background rows drop
+    # phase_deg
+    counts = tuple("duration_s" if n == "duration" else n for n in _names(mc.CountRecord))
+    assert datasets.SWEEP_HEADER == _names(itf.DelocalizationRecord)
+    assert datasets.BLOCKED_HEADER == _names(datasets.BlockedRecord)
+    assert datasets.CORRECTED_HEADER == _names(mc.CorrectedRate)
+    assert datasets.COUNTS_HEADER == counts
+    assert datasets.BACKGROUND_HEADER == tuple(n for n in counts if n != "phase_deg")
+    for header in datasets.FIGURE_HEADERS.values():
+        assert set(header) - {"reference"} <= set(datasets.SWEEP_HEADER)
+
+
+def _bits(values):
+    """Floats as hex strings, so that -0.0 and 0.0 differ; other cells as is."""
+    return [value.hex() if isinstance(value, float) else value for value in values]
+
+
+floats = st.floats(allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+optional = st.none() | floats
+sweep_records = st.builds(itf.DelocalizationRecord, *[floats] * 3, *[optional] * 4, *[floats] * 6)
+
+
+def sweep_results(reference=st.just(0.0)):
+    records = st.lists(sweep_records, max_size=6, unique_by=lambda r: r.phase_deg)
+    return st.builds(
+        lambda rs, ref: itf.SweepResult(tuple(sorted(rs, key=lambda r: r.phase_deg)), ref),
+        records,
+        reference,
+    )
+
+
+def count_records(phase):
+    return st.builds(
+        mc.CountRecord,
+        st.sampled_from(mc.KINDS + ("background",)),
+        st.sampled_from(itf.PORTS),
+        st.sampled_from(mc.POL_SETTINGS),
+        phase,
+        st.integers(0, 2**80),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+
+
+# table name -> (record list strategy, writer, reader)
+TABLES = {
+    "sweep": (
+        sweep_results().map(lambda result: result.records),
+        lambda path, records: datasets.write_sweep_csv(path, itf.SweepResult(records, 0.0)),
+        datasets.read_sweep_csv,
+    ),
+    "counts": (
+        st.lists(count_records(finite), max_size=6),
+        datasets.write_counts_csv,
+        datasets.read_counts_csv,
+    ),
+    "background": (
+        st.lists(count_records(st.just(0.0)), max_size=6),
+        datasets.write_background_csv,
+        datasets.read_background_csv,
+    ),
+    "corrected": (
+        st.lists(
+            st.builds(
+                mc.CorrectedRate,
+                st.sampled_from(mc.KINDS),
+                st.sampled_from(itf.PORTS),
+                st.sampled_from(mc.POL_SETTINGS),
+                floats,
+                floats,
+                floats,
+            ),
+            max_size=6,
+        ),
+        datasets.write_corrected_csv,
+        datasets.read_corrected_csv,
+    ),
+    "blocked": (
+        st.lists(
+            st.builds(datasets.BlockedRecord, finite, st.sampled_from((1, 2)), *[floats] * 5),
+            max_size=6,
+        ),
+        datasets.write_blocked_csv,
+        datasets.read_blocked_csv,
+    ),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+@ROUNDTRIP
+@given(data=st.data())
+def test_tables_roundtrip_bit_identical(table, data):
+    strategy, write, read = TABLES[table]
+    records = tuple(data.draw(strategy))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, f"{table}.csv")
+        write(path, records)
+        back = read(path)
+    assert [_bits(dataclasses.astuple(r)) for r in back] == [
+        _bits(dataclasses.astuple(r)) for r in records
+    ]
+
+
+@ROUNDTRIP
+@given(sweep_results(reference=floats))
+def test_figure_csvs_roundtrip_bit_identical(result):
+    with tempfile.TemporaryDirectory() as directory:
+        for path in datasets.write_figure_csvs(directory, result):
+            header = datasets.FIGURE_HEADERS[os.path.basename(path)]
+            with open(path, newline="") as handle:
+                rows = list(csv.reader(handle))
+            assert tuple(rows[0]) == header
+            back = [[None if cell == "" else float(cell) for cell in row] for row in rows[1:]]
+            want = [
+                [result.reference_flip_prob if c == "reference" else getattr(r, c) for c in header]
+                for r in result.records
+            ]
+            assert [_bits(row) for row in back] == [_bits(row) for row in want]
 
 
 def test_sweep_roundtrip_exact(tmp_path):

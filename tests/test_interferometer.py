@@ -185,16 +185,6 @@ def test_reference_flip_probability_probe_level():
     assert itf.reference_flip_probability(off) == 0.0
 
 
-def test_a_squared_from_flip():
-    assert itf.a_squared_from_flip(0.015, 0.015) == 1.0
-    assert abs(itf.a_squared_from_flip(0.857, 0.01483) - 57.8) < 0.05
-    assert itf.a_squared_from_flip(0.0, 0.015) == 0.0
-    with pytest.raises(ValueError):
-        itf.a_squared_from_flip(0.5, 0.0)
-    with pytest.raises(ValueError):
-        itf.a_squared_from_flip(1.5, 0.015)
-
-
 def test_normalization_residual():
     assert itf.normalization_residual(1.0, 0.5, 1.0, 0.5) == 0.0
     res = itf.normalization_residual(0.0, 0.9827, 57.8, 0.0173)
@@ -218,12 +208,7 @@ def test_normalization_identity_random_ideal_configs():
         ref = itf.reference_flip_probability(cfg)
         phase = rng.uniform(-22.5, 202.5)
         probs = itf.run_once(cfg, phase)
-        a2 = {
-            port: itf.a_squared_from_flip(
-                itf.conditional_flip_probability(probs, port), ref
-            )
-            for port in itf.PORTS
-        }
+        a2 = {port: itf.conditional_flip_probability(probs, port) / ref for port in itf.PORTS}
         res = itf.normalization_residual(
             a2["+"], probs.port_probability("+"), a2["-"], probs.port_probability("-")
         )

@@ -443,11 +443,6 @@ def test_mc_protocol_rejects_background_rows_beyond_numpy(monkeypatch):
         mc.mc_protocol(cfg, background_table=table)
 
 
-def test_mc_sweep_matches_protocol():
-    cfg = make_config(seed=6)
-    assert mc.mc_sweep(cfg) == mc.mc_protocol(cfg)[0]
-
-
 # ------------------------------------------------------- scalar reference
 
 
